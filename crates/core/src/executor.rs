@@ -13,7 +13,7 @@ use crate::supervisor::{RecoveryReason, RecoverySupervisor, ResilienceStats};
 use eof_agent::AgentLayout;
 use eof_coverage::{
     CmpRecord, CoverageBackend, CoverageKind, CoverageMap, InstrumentMode, InstrumentedRing,
-    TraceDecode, TraceStats, CMP_RECORD_BYTES,
+    TraceDecode, TraceStats, CMP_RECORD_BYTES, COV_RECORD_BYTES,
 };
 use eof_dap::{DebugTransport, LinkEvent, RetryPolicy, RetryStats, Txn, TxnResult};
 use eof_hal::clock::{secs_to_cycles, CYCLES_PER_SEC};
@@ -145,30 +145,22 @@ impl Executor {
         } else {
             None
         };
-        // What the flashed image actually carries: a trace-backend
-        // campaign flashes the plain build, so the `_kcmp_buf_full`
-        // trap never fires and must not be armed.
-        let instrument = config.effective_instrument();
-        if config.vectored {
-            // Arm the sync and monitor breakpoints in one round trip.
-            let mut txn = Txn::new();
-            txn.set_breakpoint(main_addr);
-            if instrument != InstrumentMode::None {
-                txn.set_breakpoint(buf_full_addr);
-            }
-            if let Some(addr) = exception_addr {
-                txn.set_breakpoint(addr);
-            }
-            transport.run_txn(&txn)?;
-        } else {
-            transport.set_breakpoint(main_addr)?;
-            if instrument != InstrumentMode::None {
-                transport.set_breakpoint(buf_full_addr)?;
-            }
-            if let Some(addr) = exception_addr {
-                transport.set_breakpoint(addr)?;
-            }
+        // The wire model is the link's: every transaction below and in
+        // the restoration ladder ships the way this knob says.
+        transport.set_vectored(config.vectored);
+        // Arm the sync and monitor breakpoints in one transaction. What
+        // the flashed image actually carries decides the set: a
+        // trace-backend campaign flashes the plain build, so the
+        // `_kcmp_buf_full` trap never fires and must not be armed.
+        let mut txn = Txn::new();
+        txn.set_breakpoint(main_addr);
+        if config.effective_instrument() != InstrumentMode::None {
+            txn.set_breakpoint(buf_full_addr);
         }
+        if let Some(addr) = exception_addr {
+            txn.set_breakpoint(addr);
+        }
+        transport.run_txn(&txn)?;
         let backend: Box<dyn CoverageBackend + Send> = match config.coverage_backend {
             CoverageKind::Ring => Box::new(InstrumentedRing::new(layout.cov)),
             CoverageKind::Trace => {
@@ -181,7 +173,6 @@ impl Executor {
         };
         let supervisor = RecoverySupervisor::for_policy(&config.recovery);
         let mut restoration = restoration;
-        restoration.set_vectored(config.vectored);
         restoration.set_snapshot_mode(config.snapshot);
         let mut exec = Executor {
             transport,
@@ -379,16 +370,6 @@ impl Executor {
         self.rearm_snapshot();
     }
 
-    /// Drain the on-device coverage buffer and reset it. Transient link
-    /// drops mid-drain are retried at the link layer: an interrupted
-    /// drain must not silently lose the buffered edges.
-    fn drain_cov(&mut self) -> Vec<u64> {
-        let span = tel::span_start("exec.cov_drain", self.transport.now());
-        let edges = self.drain_cov_inner();
-        tel::span_end(span, self.transport.now());
-        edges
-    }
-
     /// Is any coverage channel live? The ring needs hooks compiled into
     /// the image; the trace unit watches the core itself and works on
     /// the plain build.
@@ -423,296 +404,74 @@ impl Executor {
         Vec::new()
     }
 
-    fn drain_cov_inner(&mut self) -> Vec<u64> {
-        if !self.cov_active() {
-            return Vec::new();
-        }
-        if self.backend.kind() == CoverageKind::Trace {
-            return self.drain_trace();
-        }
-        if self.config.vectored {
-            return self.drain_cov_vectored();
-        }
-        let region = self.layout.cov;
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        // Header and records are read inside ONE retried closure: a
-        // replay after a mid-drain drop re-reads the header and sizes the
-        // record read from the *fresh* count. (Splitting them into two
-        // retried ops would let a replayed record read trust a header
-        // count from before the drop.)
-        let Ok(raw) = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            let mut header = [0u8; 12];
-            p.read_mem(region.base, &mut header)?;
-            let count = endian
-                .u32_from([header[0], header[1], header[2], header[3]])
-                .min(region.capacity);
-            let mut raw = header.to_vec();
-            if count > 0 {
-                let mut records = vec![0u8; (count * 8) as usize];
-                p.read_mem(region.base + 12, &mut records)?;
-                raw.extend_from_slice(&records);
-            }
-            Ok(raw)
-        }) else {
-            return Vec::new();
-        };
-        if raw.len() == 12 {
-            // count == 0: nothing buffered, nothing to reset.
-            return Vec::new();
-        }
-        let edges = self.ingest(&raw, endian);
-        // Reset the buffer for the agent.
-        let zero = endian.u32_bytes(0);
-        let _ = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            p.write_mem(region.base, &zero)
-        });
-        let _ = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            p.write_mem(region.base + 8, &zero)
-        });
-        edges
+    /// A cmp drain that could not be confirmed applied is discarded and
+    /// counted; the arming header written with the next upload restarts
+    /// the ring empty regardless.
+    fn discard_cmp_drain(&mut self) -> Vec<CmpRecord> {
+        self.cmp_discards += 1;
+        tel::count("exec.cmp_discarded", 1);
+        Vec::new()
     }
 
-    /// Vectored drain: one transaction peeks the header, a second reads
-    /// header + records coalesced AND resets the buffer — so the drain
-    /// and the reset are all-or-nothing (no torn resets; a replay after
-    /// a drop re-reads everything and `parse_drain` recomputes the
-    /// record count from the re-read header).
-    fn drain_cov_vectored(&mut self) -> Vec<u64> {
-        let region = self.layout.cov;
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        let mut peek = Txn::new();
-        peek.read_mem(region.base, 12);
-        let Ok(results) = policy.run_txn(&mut self.link_retry, &mut self.transport, &peek) else {
-            return Vec::new();
-        };
-        let Some(TxnResult::Bytes(header)) = results.into_iter().next() else {
-            return Vec::new();
-        };
-        let count = endian
-            .u32_from([header[0], header[1], header[2], header[3]])
-            .min(region.capacity);
-        if count == 0 {
-            return Vec::new();
-        }
-        let zero = endian.u32_bytes(0);
-        let mut drain = Txn::new();
-        drain
-            .read_mem(region.base, 12 + count * 8)
-            .write_mem(region.base, &zero)
-            .write_mem(region.base + 8, &zero);
-        let Ok(results) = policy.run_txn(&mut self.link_retry, &mut self.transport, &drain) else {
-            return Vec::new();
-        };
-        let Some(TxnResult::Bytes(raw)) = results.into_iter().next() else {
-            return Vec::new();
-        };
-        self.ingest(&raw, endian)
-    }
-
-    /// Drain the hardware trace FIFO: one atomic destructive wire op
-    /// either way (the vectored path rides a transaction, the scalar
-    /// path uses the dedicated probe command; both ship identical
-    /// bytes — header first, then the live stream). There is no header
-    /// peek and no reset write: the drain IS the reset, so a torn
-    /// drain cannot leave host and device disagreeing about counts.
-    fn drain_trace(&mut self) -> Vec<u64> {
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        let raw = if self.config.vectored {
-            let mut txn = Txn::new();
-            txn.drain_trace();
-            match policy.run_txn(&mut self.link_retry, &mut self.transport, &txn) {
-                Ok(results) => match results.into_iter().next() {
-                    Some(TxnResult::Bytes(raw)) => raw,
-                    _ => return self.discard_cov_drain(),
-                },
-                Err(_) => return self.discard_cov_drain(),
-            }
-        } else {
-            match policy.run(&mut self.link_retry, &mut self.transport, |p| p.drain_trace()) {
-                Ok(raw) => raw,
-                Err(_) => return self.discard_cov_drain(),
-            }
-        };
-        self.ingest(&raw, endian)
-    }
-
-    /// Vectored drain of both channels inside the coverage drain's own
-    /// two wire conversations: the atomic `DrainRing` op rides the
-    /// header-peek transaction, so the comparison channel costs zero
-    /// extra transactions per exec — the wire advantage the scalar path
-    /// cannot match.
-    fn drain_cov_and_cmp(&mut self) -> (Vec<u64>, Vec<CmpRecord>) {
+    /// Harvest the device-side channels in ONE transaction: the
+    /// coverage channel's destructive drain (`DrainRing` over the
+    /// instrumented ring, `DrainTrace` over the trace FIFO) and, with
+    /// `with_cmp`, the cmplog operand ring's `DrainRing`. Each op reads
+    /// and resets its channel in one step — no header peek, no separate
+    /// reset write — and link drops are retried at the link layer. A
+    /// channel whose drain still failed is discarded whole and counted:
+    /// never silently swallowed, never half-parsed.
+    fn harvest(&mut self, with_cmp: bool) -> (Vec<u64>, Vec<CmpRecord>) {
         let cov_span = tel::span_start("exec.cov_drain", self.transport.now());
-        let cmp_span = tel::span_start("exec.cmp_drain", self.transport.now());
-        let (edges, records) = if self.backend.kind() == CoverageKind::Trace {
-            self.drain_trace_and_cmp_vectored()
+        let cmp_span = with_cmp.then(|| tel::span_start("exec.cmp_drain", self.transport.now()));
+        let (cov, cmp) = (self.layout.cov, self.layout.cmp);
+        let endian = self.config.board.endianness;
+        let with_cov = self.cov_active();
+        let mut txn = Txn::new();
+        if with_cov {
+            match self.backend.kind() {
+                CoverageKind::Ring => txn.drain_ring(cov.base, cov.capacity, COV_RECORD_BYTES),
+                CoverageKind::Trace => txn.drain_trace(),
+            };
+        }
+        if with_cmp {
+            txn.drain_ring(cmp.base, cmp.capacity, CMP_RECORD_BYTES);
+        }
+        let results = if txn.is_empty() {
+            Vec::new()
         } else {
-            self.drain_cov_and_cmp_vectored()
+            self.retry
+                .run_txn(&mut self.link_retry, &mut self.transport, &txn)
+                .unwrap_or_default()
         };
-        tel::span_end(cmp_span, self.transport.now());
+        let mut raws = results.into_iter().map(|r| match r {
+            TxnResult::Bytes(raw) => Some(raw),
+            _ => None,
+        });
+        let edges = match with_cov.then(|| raws.next().flatten()) {
+            None => Vec::new(),
+            Some(Some(raw)) => self.ingest(&raw, endian),
+            Some(None) => self.discard_cov_drain(),
+        };
+        let records = match with_cmp.then(|| raws.next().flatten()) {
+            None => Vec::new(),
+            Some(Some(raw)) => {
+                let (records, overflow) = cmp.parse_drain(&raw, endian);
+                if overflow > 0 {
+                    tel::count("exec.cmp_overflow", overflow as u64);
+                }
+                records
+            }
+            Some(None) => self.discard_cmp_drain(),
+        };
+        if let Some(span) = cmp_span {
+            tel::span_end(span, self.transport.now());
+        }
         tel::span_end(cov_span, self.transport.now());
         if !records.is_empty() {
             tel::count("exec.cmp_records", records.len() as u64);
         }
         (edges, records)
-    }
-
-    fn drain_cov_and_cmp_vectored(&mut self) -> (Vec<u64>, Vec<CmpRecord>) {
-        let cov = self.layout.cov;
-        let cmp = self.layout.cmp;
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        let mut peek = Txn::new();
-        peek.read_mem(cov.base, 12)
-            .drain_ring(cmp.base, cmp.capacity, CMP_RECORD_BYTES);
-        let Ok(results) = policy.run_txn(&mut self.link_retry, &mut self.transport, &peek) else {
-            return (Vec::new(), self.discard_cmp_drain());
-        };
-        let mut results = results.into_iter();
-        let Some(TxnResult::Bytes(header)) = results.next() else {
-            return (Vec::new(), self.discard_cmp_drain());
-        };
-        let records = match results.next() {
-            Some(TxnResult::Bytes(raw)) => {
-                let (records, overflow) = cmp.parse_drain(&raw, endian);
-                if overflow > 0 {
-                    tel::count("exec.cmp_overflow", overflow as u64);
-                }
-                records
-            }
-            _ => self.discard_cmp_drain(),
-        };
-        let count = endian
-            .u32_from([header[0], header[1], header[2], header[3]])
-            .min(cov.capacity);
-        if count == 0 {
-            return (Vec::new(), records);
-        }
-        let zero = endian.u32_bytes(0);
-        let mut drain = Txn::new();
-        drain
-            .read_mem(cov.base, 12 + count * 8)
-            .write_mem(cov.base, &zero)
-            .write_mem(cov.base + 8, &zero);
-        let Ok(results) = policy.run_txn(&mut self.link_retry, &mut self.transport, &drain) else {
-            return (Vec::new(), records);
-        };
-        let Some(TxnResult::Bytes(raw)) = results.into_iter().next() else {
-            return (Vec::new(), records);
-        };
-        let edges = self.ingest(&raw, endian);
-        (edges, records)
-    }
-
-    /// Trace-backend twin of [`Self::drain_cov_and_cmp_vectored`]: both
-    /// destructive drains ride ONE transaction (`DrainTrace` +
-    /// `DrainRing`), so the whole end-of-exec harvest is a single wire
-    /// conversation that either applies atomically or not at all.
-    fn drain_trace_and_cmp_vectored(&mut self) -> (Vec<u64>, Vec<CmpRecord>) {
-        let cmp = self.layout.cmp;
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        let mut txn = Txn::new();
-        txn.drain_trace()
-            .drain_ring(cmp.base, cmp.capacity, CMP_RECORD_BYTES);
-        let Ok(results) = policy.run_txn(&mut self.link_retry, &mut self.transport, &txn) else {
-            return (self.discard_cov_drain(), self.discard_cmp_drain());
-        };
-        let mut results = results.into_iter();
-        let edges = match results.next() {
-            Some(TxnResult::Bytes(raw)) => self.ingest(&raw, endian),
-            _ => self.discard_cov_drain(),
-        };
-        let records = match results.next() {
-            Some(TxnResult::Bytes(raw)) => {
-                let (records, overflow) = cmp.parse_drain(&raw, endian);
-                if overflow > 0 {
-                    tel::count("exec.cmp_overflow", overflow as u64);
-                }
-                records
-            }
-            _ => self.discard_cmp_drain(),
-        };
-        (edges, records)
-    }
-
-    /// Drain the cmplog operand ring. Mirrors the coverage drain's
-    /// torn-drain discipline: the vectored path uses the atomic
-    /// `DrainRing` op (read + reset in one transaction, so a partial
-    /// application is impossible by construction), the scalar path reads
-    /// header and records inside ONE retried closure so a replay re-sizes
-    /// from the fresh count. A drain that still fails is discarded and
-    /// counted — never a half-parsed journal entry; the next exec's
-    /// arming header restarts the ring empty regardless.
-    fn drain_cmp(&mut self) -> Vec<CmpRecord> {
-        let span = tel::span_start("exec.cmp_drain", self.transport.now());
-        let records = self.drain_cmp_inner();
-        tel::span_end(span, self.transport.now());
-        if !records.is_empty() {
-            tel::count("exec.cmp_records", records.len() as u64);
-        }
-        records
-    }
-
-    fn drain_cmp_inner(&mut self) -> Vec<CmpRecord> {
-        let region = self.layout.cmp;
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        if self.config.vectored {
-            let mut txn = Txn::new();
-            txn.drain_ring(region.base, region.capacity, CMP_RECORD_BYTES);
-            let raw = match policy.run_txn(&mut self.link_retry, &mut self.transport, &txn) {
-                Ok(results) => match results.into_iter().next() {
-                    Some(TxnResult::Bytes(raw)) => raw,
-                    _ => return self.discard_cmp_drain(),
-                },
-                Err(_) => return self.discard_cmp_drain(),
-            };
-            let (records, overflow) = region.parse_drain(&raw, endian);
-            if overflow > 0 {
-                tel::count("exec.cmp_overflow", overflow as u64);
-            }
-            return records;
-        }
-        let Ok(raw) = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            let mut header = [0u8; 12];
-            p.read_mem(region.base, &mut header)?;
-            let count = endian
-                .u32_from([header[0], header[1], header[2], header[3]])
-                .min(region.capacity);
-            let mut raw = header.to_vec();
-            if count > 0 {
-                let mut records = vec![0u8; (count * CMP_RECORD_BYTES) as usize];
-                p.read_mem(region.base + 12, &mut records)?;
-                raw.extend_from_slice(&records);
-            }
-            Ok(raw)
-        }) else {
-            return self.discard_cmp_drain();
-        };
-        let (records, overflow) = region.parse_drain(&raw, endian);
-        if overflow > 0 {
-            tel::count("exec.cmp_overflow", overflow as u64);
-        }
-        // Reset count and overflow; the arming word survives (and the
-        // next upload rewrites the whole header anyway).
-        let zero = endian.u32_bytes(0);
-        let _ = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            p.write_mem(region.base, &zero)
-        });
-        let _ = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            p.write_mem(region.base + 8, &zero)
-        });
-        records
-    }
-
-    fn discard_cmp_drain(&mut self) -> Vec<CmpRecord> {
-        self.cmp_discards += 1;
-        tel::count("exec.cmp_discarded", 1);
-        Vec::new()
     }
 
     /// Apply the coverage observability model (GDBFuzz's rotating
@@ -816,52 +575,26 @@ impl Executor {
             outcome.cycles = self.transport.now() - start;
             return outcome;
         };
+        // Length word and prog body in one transaction. Cmplog campaigns
+        // arm the operand ring alongside: a fresh header (count 0,
+        // capacity set) every exec, so the ring starts empty even if the
+        // previous drain was lost. Without cmplog no extra bytes touch
+        // the wire — the exec is bit-identical to the pre-cmplog
+        // pipeline.
         let endian = self.config.board.endianness;
-        let len_bytes = endian.u32_bytes(bytes.len() as u32);
-        let prog_addr = self.layout.prog_addr;
+        let (prog_addr, cmp) = (self.layout.prog_addr, self.layout.cmp);
+        let mut upload = Txn::new();
+        upload
+            .write_mem(prog_addr, &endian.u32_bytes(bytes.len() as u32))
+            .write_mem(prog_addr + 4, &bytes);
+        if self.config.cmplog {
+            upload.write_mem(cmp.base, &cmp.armed_header(endian));
+        }
         let policy = self.retry;
-        // Cmplog campaigns arm the operand ring alongside the upload: a
-        // fresh header (count 0, capacity set) every exec, so the ring
-        // starts empty even if the previous drain was lost. Without
-        // cmplog no extra bytes touch the wire — the exec is
-        // bit-identical to the pre-cmplog pipeline.
-        let armed_header = self
-            .config
-            .cmplog
-            .then(|| self.layout.cmp.armed_header(endian));
-        let uploaded = if self.config.vectored {
-            // Length word, prog body (and arming header) land in one
-            // round trip.
-            let mut txn = Txn::new();
-            txn.write_mem(prog_addr, &len_bytes)
-                .write_mem(prog_addr + 4, &bytes);
-            if let Some(header) = armed_header.as_ref() {
-                txn.write_mem(self.layout.cmp.base, header);
-            }
-            policy
-                .run_txn(&mut self.link_retry, &mut self.transport, &txn)
-                .is_ok()
-        } else {
-            policy
-                .run(&mut self.link_retry, &mut self.transport, |p| {
-                    p.write_mem(prog_addr, &len_bytes)
-                })
-                .is_ok()
-                && policy
-                    .run(&mut self.link_retry, &mut self.transport, |p| {
-                        p.write_mem(prog_addr + 4, &bytes)
-                    })
-                    .is_ok()
-                && armed_header.as_ref().is_none_or(|header| {
-                    let cmp_base = self.layout.cmp.base;
-                    policy
-                        .run(&mut self.link_retry, &mut self.transport, |p| {
-                            p.write_mem(cmp_base, header)
-                        })
-                        .is_ok()
-                })
-        };
-        if !uploaded {
+        if policy
+            .run_txn(&mut self.link_retry, &mut self.transport, &upload)
+            .is_err()
+        {
             self.recover(RecoveryReason::ConnectionLoss);
             outcome.restored = true;
             outcome.target_lost = true;
@@ -897,7 +630,7 @@ impl Executor {
                     break;
                 }
                 Ok(LinkEvent::BreakpointHit { pc }) if pc == self.buf_full_addr => {
-                    all_edges.extend(self.drain_cov());
+                    all_edges.extend(self.harvest(false).0);
                     continue;
                 }
                 Ok(LinkEvent::BreakpointHit { pc })
@@ -920,7 +653,7 @@ impl Executor {
                     // Crash-path coverage matters (the paper feeds crash
                     // signals back as guidance): drain before anything
                     // resets the buffer.
-                    all_edges.extend(self.drain_cov());
+                    all_edges.extend(self.harvest(false).0);
                     let report = self.crash_from_banner(DetectionSource::ExceptionMonitor, prog);
                     outcome.crash = Some(report);
                     continue;
@@ -951,7 +684,7 @@ impl Executor {
                     if declare {
                         self.stall_events += 1;
                         outcome.stalled = true;
-                        all_edges.extend(self.drain_cov());
+                        all_edges.extend(self.harvest(false).0);
                         let _ = self.scan_uart();
                         self.recover(RecoveryReason::Stall);
                         outcome.restored = true;
@@ -1001,7 +734,7 @@ impl Executor {
                             verdict @ (Liveness::Stalled { .. } | Liveness::ConnectionTimeout) => {
                                 self.stall_events += 1;
                                 outcome.stalled = true;
-                                all_edges.extend(self.drain_cov());
+                                all_edges.extend(self.harvest(false).0);
                                 let hits = self.scan_uart();
                                 if self.config.detection.log_monitor {
                                     if let Some(hit) = hits.first() {
@@ -1031,7 +764,7 @@ impl Executor {
                         if self.transport.now() - start >= secs_to_cycles(secs) {
                             self.stall_events += 1;
                             outcome.stalled = true;
-                            all_edges.extend(self.drain_cov());
+                            all_edges.extend(self.harvest(false).0);
                             // Offline triage of whatever the UART holds.
                             let _ = self.scan_uart();
                             let tail = self.log_monitor.tail().to_vec();
@@ -1074,22 +807,14 @@ impl Executor {
             }
         }
 
-        // Final coverage drain (healthy completion path). The operand
-        // ring rides the same path — vectored inside the coverage
-        // drain's own transactions, scalar as its own retried reads.
-        // Degraded paths skip it deliberately: a restoration wipes the
-        // ring with the rest of board state anyway.
+        // Final harvest (healthy completion path): the operand ring
+        // rides the coverage drain's transaction. Degraded paths skip it
+        // deliberately: a restoration wipes the ring with the rest of
+        // board state anyway.
         if self.at_main {
-            if self.config.cmplog && self.config.vectored && self.cov_active() {
-                let (edges, records) = self.drain_cov_and_cmp();
-                all_edges.extend(edges);
-                outcome.cmp_records = records;
-            } else {
-                all_edges.extend(self.drain_cov());
-                if self.config.cmplog {
-                    outcome.cmp_records = self.drain_cmp();
-                }
-            }
+            let (edges, records) = self.harvest(self.config.cmplog);
+            all_edges.extend(edges);
+            outcome.cmp_records = records;
         }
 
         // Log monitor on the healthy path too (non-hanging assert spam).
@@ -1494,6 +1219,44 @@ mod tests {
             clean.crash.as_ref().map(|c| c.bug)
         );
         assert_eq!(faulted.coverage().branches(), control.coverage().branches());
+    }
+
+    #[test]
+    fn abandoned_ring_drain_is_counted_and_marks_the_exec_partial() {
+        // A ring drain the retry layer gives up on must fail loudly, like
+        // a trace drain does: counted, and the exec marked
+        // coverage-partial. Find where the final drain starts on a
+        // recorded control run, then darken the link from that cycle on
+        // for longer than the whole retry budget.
+        let prog = Prog {
+            mmio: vec![],
+            calls: vec![call(
+                "json_parse",
+                vec![ArgValue::Buffer(br#"{"a":[1,2]}"#.to_vec())],
+            )],
+        };
+        for vectored in [false, true] {
+            let mut cfg = FuzzerConfig::eof(OsKind::FreeRtos, 35);
+            cfg.vectored = vectored;
+            let mut control = executor_for(cfg.clone());
+            let recorder = tel::begin();
+            assert!(!control.run_one(&prog).cov_partial);
+            let journal = recorder.finish();
+            let final_drain = journal
+                .spans
+                .iter()
+                .rev()
+                .find(|s| s.name == "exec.cov_drain")
+                .expect("recorded drain")
+                .start_cycles;
+            let mut faulted = executor_for(cfg);
+            faulted
+                .transport_mut()
+                .schedule_outage(final_drain, 1_000_000);
+            let out = faulted.run_one(&prog);
+            assert_eq!(faulted.cov_discards(), 1, "vectored={vectored}");
+            assert!(out.cov_partial, "vectored={vectored}");
+        }
     }
 
     #[test]

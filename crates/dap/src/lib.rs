@@ -10,22 +10,23 @@
 //! * [`transport`] — [`DebugTransport`]: the probe session itself, with
 //!   per-operation latency, timeout semantics against a dead target, and
 //!   injectable link outages (the raw material of Algorithm 1's
-//!   `ConnectionTimeout` check);
+//!   `ConnectionTimeout` check). The wire model lives here: a link is
+//!   vectored or scalar, and [`DebugTransport::run_txn`] ships every
+//!   [`Txn`] accordingly, so no consumer forks on it;
 //! * [`tap`] — a JTAG TAP controller state machine, driven underneath
 //!   JTAG-interfaced boards for protocol fidelity;
-//! * [`ocd`] — an OpenOCD-style text command server (`halt`, `mdw`,
-//!   `flash write_image`, …) layered on the transport;
 //! * [`rsp`] — a GDB Remote Serial Protocol codec and server (`$m…#cs`
-//!   packets), the path the paper's GDB/MI commands travel;
+//!   packets, `vTxn` for whole transactions), the path the paper's GDB/MI
+//!   commands travel and the one text encoding of a [`Txn`];
 //! * [`retry`] — [`RetryPolicy`]: exponential-backoff retry of transient
 //!   connection losses, so a flaky probe is ridden out at the link layer
-//!   instead of escalating to a full state restoration;
-//! * [`txn`] — [`Txn`]: vectored transactions batching the per-exec hot
-//!   path into single link round trips with all-or-nothing semantics
-//!   (`EOF_VECTORED=0` falls back to the scalar path).
+//!   instead of escalating to a full state restoration — whole-batch
+//!   replay on a vectored link, per-op retry on a scalar one;
+//! * [`txn`] — [`Txn`]: the batch every consumer builds, shipped as one
+//!   link round trip with all-or-nothing semantics on a vectored link
+//!   (`EOF_VECTORED=0` selects the scalar link).
 
 pub mod error;
-pub mod ocd;
 pub mod retry;
 pub mod rsp;
 pub mod tap;
@@ -33,7 +34,6 @@ pub mod transport;
 pub mod txn;
 
 pub use error::DapError;
-pub use ocd::OcdServer;
 pub use retry::{RetryPolicy, RetryStats};
 pub use rsp::{
     checksum, decode_txn, decode_txn_reply, encode_txn, encode_txn_reply, frame_packet,

@@ -95,23 +95,34 @@ impl RetryPolicy {
         }
     }
 
-    /// Submit a vectored transaction with all-or-nothing replay.
+    /// Submit a transaction, retrying at the grain of the link's wire
+    /// model.
     ///
-    /// A scalar retry loop re-issues one operation; replaying a *batch*
-    /// is only sound because `DebugTransport::run_txn` guarantees a
-    /// connection loss precedes application — the batch submit is the
-    /// single fault-injection point, so a dropped transaction applied
-    /// nothing and the retry replays it whole. Partial application
-    /// (some ops landed, then the link died, then the replay re-applies
-    /// them) is impossible by construction, which is exactly the hazard
-    /// that makes naive batch retries corrupt coverage buffers.
+    /// On a vectored link the whole batch is replayed. That is only
+    /// sound because `DebugTransport::run_txn` guarantees a connection
+    /// loss precedes application — the batch submit is the single
+    /// fault-injection point, so a dropped transaction applied nothing
+    /// and the retry replays it whole. Partial application (some ops
+    /// landed, then the link died, then the replay re-applies them) is
+    /// impossible by construction, which is exactly the hazard that
+    /// makes naive batch retries corrupt coverage buffers.
+    ///
+    /// On a scalar link each op is its own probe command, so each op is
+    /// retried on its own; the first op that exhausts the budget fails
+    /// the transaction.
     pub fn run_txn(
         &self,
         stats: &mut RetryStats,
         pipe: &mut DebugTransport,
         txn: &Txn,
     ) -> Result<Vec<TxnResult>, DapError> {
-        self.run(stats, pipe, |p| p.run_txn(txn))
+        if pipe.vectored() {
+            return self.run(stats, pipe, |p| p.run_txn(txn));
+        }
+        txn.ops()
+            .iter()
+            .map(|op| self.run(stats, pipe, |p| p.run_op(op)))
+            .collect()
     }
 }
 

@@ -91,6 +91,11 @@ impl RspServer {
         &mut self.transport
     }
 
+    /// Consume the server, returning the transport.
+    pub fn into_transport(self) -> DebugTransport {
+        self.transport
+    }
+
     /// Handle one framed packet, returning the framed reply.
     pub fn handle(&mut self, raw: &str) -> Result<String, DapError> {
         let data = parse_packet(raw)?;

@@ -12,6 +12,11 @@
 //!   [`LinkConfig::timeout`] cycles rather than failing instantly —
 //!   modelling the real blocking behaviour that makes watchdog tuning a
 //!   trade-off.
+//!
+//! The wire model lives here too. Consumers only build a [`Txn`];
+//! [`DebugTransport::run_txn`] ships it as one vectored conversation or,
+//! on a scalar link ([`DebugTransport::set_vectored`]), op by op, each
+//! op costing exactly its dedicated probe command.
 
 use crate::error::DapError;
 use crate::tap::TapController;
@@ -75,6 +80,9 @@ pub struct DebugTransport {
     /// doomed batch before anything applies — and asserted zero by the
     /// chaos harness; a nonzero count means the atomicity contract broke.
     txn_partials: u64,
+    /// Wire model for [`Self::run_txn`]: one conversation per batch, or
+    /// one probe command per op.
+    vectored: bool,
 }
 
 impl DebugTransport {
@@ -94,7 +102,21 @@ impl DebugTransport {
             timeouts: 0,
             flaky_drops: 0,
             txn_partials: 0,
+            vectored: true,
         }
+    }
+
+    /// Choose the wire model [`Self::run_txn`] ships transactions with:
+    /// one vectored conversation (the default of a freshly attached
+    /// link) or op by op over the scalar wire. A campaign sets it once,
+    /// from its `vectored` knob, when the executor binds the session.
+    pub fn set_vectored(&mut self, on: bool) {
+        self.vectored = on;
+    }
+
+    /// Whether [`Self::run_txn`] ships a transaction as one conversation.
+    pub(crate) fn vectored(&self) -> bool {
+        self.vectored
     }
 
     /// The attached machine (tests and image tooling).
@@ -344,28 +366,82 @@ impl DebugTransport {
         })
     }
 
-    /// Submit a vectored transaction: every queued operation in one link
+    /// Submit a transaction over the link's wire model.
+    ///
+    /// **Vectored** (the default): every queued operation in one link
     /// round trip. The batch pays one latency charge, one TAP scan (bulk
     /// payload shifted in block mode at 1:[`BLOCK_TCK_PER_CORE_CYCLE`]
     /// instead of the scalar per-word 1:8), and one access-port setup
-    /// ([`cost::MEM_BASE`]) for all its memory operations.
+    /// ([`cost::MEM_BASE`]) for all its memory operations. The submit
+    /// itself is the only fault-injection point: link outages and flaky
+    /// drops refuse the batch before anything applies, and the
+    /// dead-target check runs once up front (core faults only fire while
+    /// the target *runs*, so dead-ness cannot change mid-batch).
+    /// Target-side preconditions — address bounds, breakpoint-comparator
+    /// budget, partition names and sizes, flash-port availability — are
+    /// validated for every operation before the first one applies; a
+    /// doomed batch is refused whole with the target untouched. A
+    /// connection-loss error therefore always means "nothing applied",
+    /// which is what makes whole-batch replay
+    /// ([`crate::RetryPolicy::run_txn`]) safe.
     ///
-    /// **Atomicity.** The submit itself is the only fault-injection
-    /// point: link outages and flaky drops refuse the batch before
-    /// anything applies, and the dead-target check runs once up front
-    /// (core faults only fire while the target *runs*, so dead-ness
-    /// cannot change mid-batch). Target-side preconditions — address
-    /// bounds, breakpoint-comparator budget, partition names and sizes,
-    /// flash-port availability — are validated for every operation
-    /// before the first one applies; a doomed batch is refused whole
-    /// with the target untouched. A connection-loss error therefore
-    /// always means "nothing applied", which is what makes whole-batch
-    /// replay ([`crate::RetryPolicy::run_txn`]) safe.
+    /// **Scalar**: the ops ship one by one, each as its dedicated probe
+    /// command at exactly that command's cost, stopping at the first
+    /// error (the ops before it stay applied; per-op retry is the
+    /// retry policy's job).
     pub fn run_txn(&mut self, txn: &Txn) -> Result<Vec<TxnResult>, DapError> {
         if txn.is_empty() {
             return Ok(Vec::new());
         }
+        if !self.vectored {
+            return txn.ops().iter().map(|op| self.run_op(op)).collect();
+        }
         self.record_op("txn", |t| t.run_txn_inner(txn))
+    }
+
+    /// Ship one operation as its dedicated scalar probe command — the
+    /// scalar wire model's unit of cost and of retry.
+    pub(crate) fn run_op(&mut self, op: &TxnOp) -> Result<TxnResult, DapError> {
+        let done = |r: Result<(), DapError>| r.map(|()| TxnResult::Done);
+        match op {
+            TxnOp::Halt => done(self.halt()),
+            TxnOp::Resume => done(self.resume()),
+            TxnOp::ReadMem { addr, len } => {
+                let mut buf = vec![0u8; *len as usize];
+                self.read_mem(*addr, &mut buf)?;
+                Ok(TxnResult::Bytes(buf))
+            }
+            TxnOp::WriteMem { addr, data } => done(self.write_mem(*addr, data)),
+            TxnOp::ReadPc => self.read_pc().map(TxnResult::Pc),
+            TxnOp::SetBreakpoint { addr } => done(self.set_breakpoint(*addr)),
+            TxnOp::ClearBreakpoint { addr } => done(self.clear_breakpoint(*addr)),
+            TxnOp::FlashChecksum { partition } => {
+                self.flash_checksum(partition).map(TxnResult::Checksum)
+            }
+            TxnOp::FlashWrite { partition, image } => done(self.flash_partition(partition, image)),
+            TxnOp::FlashSectorChecksums { partition, .. } => self
+                .flash_sector_checksums(partition)
+                .map(TxnResult::Checksums),
+            TxnOp::FlashWriteSectors { partition, sectors } => {
+                done(self.flash_write_sectors(partition, sectors))
+            }
+            TxnOp::ResetTarget => done(self.reset_target()),
+            TxnOp::WritePages { pages } => {
+                for (addr, data) in pages {
+                    self.write_mem(*addr, data)?;
+                }
+                Ok(TxnResult::Done)
+            }
+            TxnOp::RestoreCore => done(self.restore_core()),
+            TxnOp::DrainRing {
+                base,
+                capacity,
+                record_bytes,
+            } => self
+                .drain_ring(*base, *capacity, *record_bytes)
+                .map(TxnResult::Bytes),
+            TxnOp::DrainTrace => self.drain_trace().map(TxnResult::Bytes),
+        }
     }
 
     fn run_txn_inner(&mut self, txn: &Txn) -> Result<Vec<TxnResult>, DapError> {
@@ -561,9 +637,7 @@ impl DebugTransport {
                     if drained_rings.contains(base) {
                         return Err(DapError::Target(HalError::BadMachineState {
                             op: "drain ring",
-                            state: format!(
-                                "duplicate drain of ring {base:#x} in one transaction"
-                            ),
+                            state: format!("duplicate drain of ring {base:#x} in one transaction"),
                         }));
                     }
                     drained_rings.push(*base);
@@ -798,10 +872,9 @@ impl DebugTransport {
         })
     }
 
-    /// Scalar register-file restore + restart at the reset vector (the
-    /// snapshot restore's final step when vectoring is off; the vectored
-    /// path queues [`TxnOp::RestoreCore`] instead).
-    pub fn restore_core(&mut self) -> Result<(), DapError> {
+    /// Scalar form of [`TxnOp::RestoreCore`]: register-file restore +
+    /// restart at the reset vector.
+    fn restore_core(&mut self) -> Result<(), DapError> {
         self.record_op("restore_core", |t| {
             t.begin_op(64)?;
             t.machine.debug_restore_core().map_err(Into::into)
@@ -818,12 +891,11 @@ impl DebugTransport {
         })
     }
 
-    /// Scalar trace-FIFO drain (the fallback when vectoring is off; the
-    /// vectored path queues [`TxnOp::DrainTrace`] instead). Both paths
-    /// call the same machine primitive, so the drained bytes are
-    /// identical either way — only the wire accounting differs: the
-    /// scalar path paces the whole stream at the per-word 1:8 rate.
-    pub fn drain_trace(&mut self) -> Result<Vec<u8>, DapError> {
+    /// Scalar form of [`TxnOp::DrainTrace`]. It calls the same machine
+    /// primitive as the vectored op, so the drained bytes are identical
+    /// either way — only the wire accounting differs: the scalar path
+    /// paces the whole stream at the per-word 1:8 rate.
+    fn drain_trace(&mut self) -> Result<Vec<u8>, DapError> {
         self.record_op("drain_trace", |t| {
             t.begin_op(32 + 12 * 8)?;
             let buf = t.machine.debug_drain_trace_batched()?;
@@ -833,6 +905,30 @@ impl DebugTransport {
             t.machine.bus_mut().charge_debug(bits / 8);
             Ok(buf)
         })
+    }
+
+    /// Scalar form of [`TxnOp::DrainRing`]: a header read and, only when
+    /// records are buffered, the record read and the two reset writes —
+    /// the count word last. A link drop between the writes leaves the
+    /// count standing, so a retry of the op re-reads the same records
+    /// instead of losing them.
+    fn drain_ring(
+        &mut self,
+        base: u32,
+        capacity: u32,
+        record_bytes: u32,
+    ) -> Result<Vec<u8>, DapError> {
+        let mut buf = vec![0u8; 12];
+        self.read_mem(base, &mut buf)?;
+        let e = self.machine.board().endianness;
+        let count = e.u32_from([buf[0], buf[1], buf[2], buf[3]]).min(capacity);
+        if count > 0 {
+            buf.resize(12 + count as usize * record_bytes as usize, 0);
+            self.read_mem(base + 12, &mut buf[12..])?;
+            self.write_mem(base + 8, &[0u8; 4])?;
+            self.write_mem(base, &[0u8; 4])?;
+        }
+        Ok(buf)
     }
 
     /// Raise an interrupt line on the target, as external stimulus
@@ -936,7 +1032,7 @@ mod tests {
         }
     }
 
-    fn transport() -> DebugTransport {
+    fn transport_on(board: eof_hal::BoardSpec) -> DebugTransport {
         let loader: FirmwareLoader = Box::new(|flash, _| {
             let kernel = flash.read_partition("kernel")?;
             if &kernel[..4] != b"IMG!" {
@@ -944,10 +1040,28 @@ mod tests {
             }
             Ok(Box::new(Walker::new()))
         });
-        let mut m = Machine::new(BoardCatalog::esp32_devkit(), loader);
+        let mut m = Machine::new(board, loader);
         m.reflash_partition("kernel", b"IMG!fw").unwrap();
         m.reset();
         DebugTransport::attach(m, LinkConfig::default())
+    }
+
+    /// A JTAG board (TAP scans on every op).
+    fn transport() -> DebugTransport {
+        transport_on(BoardCatalog::esp32_devkit())
+    }
+
+    /// Write a little-endian ring image at `base`: header `(count, 16,
+    /// overflow)` then `count` 8-byte records `0x100, 0x101, …`.
+    fn prime_ring(t: &mut DebugTransport, base: u32, count: u32, overflow: u32) {
+        let mut ring: Vec<u8> = [count, 16, overflow]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        for i in 0..count as u64 {
+            ring.extend_from_slice(&(0x100 + i).to_le_bytes());
+        }
+        t.write_mem(base, &ring).unwrap();
     }
 
     #[test]
@@ -1176,39 +1290,187 @@ mod tests {
 
     #[test]
     fn txn_matches_scalar_results_and_costs_less() {
-        // Same op sequence both ways; the vectored submit must return
-        // identical data and spend strictly fewer cycles.
-        let mut scalar = transport();
-        let base = scalar.machine().board().ram_base;
-        let start = scalar.now();
-        scalar.halt().unwrap();
-        scalar.write_mem(base + 0x40, b"vector-me").unwrap();
-        let mut buf = [0u8; 9];
-        scalar.read_mem(base + 0x40, &mut buf).unwrap();
-        let pc_scalar = scalar.read_pc().unwrap();
-        scalar.resume().unwrap();
-        let scalar_cost = scalar.now() - start;
-
-        let mut vectored = transport();
-        let start = vectored.now();
+        // The same txn over both wire models: the vectored submit must
+        // return identical data and spend strictly fewer cycles.
         let mut txn = Txn::new();
+        let base = BoardCatalog::esp32_devkit().ram_base;
         txn.halt()
             .write_mem(base + 0x40, b"vector-me")
             .read_mem(base + 0x40, 9)
             .read_pc()
             .resume();
-        let results = vectored.run_txn(&txn).unwrap();
-        let vectored_cost = vectored.now() - start;
-
-        assert_eq!(results[0], TxnResult::Done);
-        assert_eq!(results[2], TxnResult::Bytes(b"vector-me".to_vec()));
-        assert_eq!(results[3], TxnResult::Pc(pc_scalar));
+        let run = |vectored: bool| {
+            let mut t = transport();
+            t.set_vectored(vectored);
+            let start = t.now();
+            let results = t.run_txn(&txn).unwrap();
+            (results, t.now() - start, t.txn_partials())
+        };
+        let (scalar, scalar_cost, _) = run(false);
+        let (vectored, vectored_cost, partials) = run(true);
+        assert_eq!(vectored, scalar);
+        assert_eq!(vectored[2], TxnResult::Bytes(b"vector-me".to_vec()));
         assert!(
             vectored_cost < scalar_cost,
             "vectored {vectored_cost} !< scalar {scalar_cost}"
         );
         // 5 ops collapsed into one round trip.
-        assert_eq!(vectored.txn_partials(), 0);
+        assert_eq!(partials, 0);
+    }
+
+    /// The scalar wire model is the dedicated probe commands, op for op:
+    /// a txn of each op kind on a scalar link charges exactly the cycles
+    /// and operations of the matching call sequence on a twin link, on a
+    /// JTAG board and an SWD board alike.
+    #[test]
+    fn scalar_link_charges_exactly_the_scalar_call_sequence() {
+        type Twin = Box<dyn Fn(&mut DebugTransport) -> Result<(), DapError>>;
+        fn txn_of(build: impl FnOnce(&mut Txn) -> &mut Txn) -> Txn {
+            let mut txn = Txn::new();
+            build(&mut txn);
+            txn
+        }
+        for board in [BoardCatalog::esp32_devkit(), BoardCatalog::stm32f4_disco()] {
+            let ram = board.ram_base;
+            let (full, empty) = (ram + 0x400, ram + 0x800);
+            let page = move |i: u32| (ram + 0x1000 * i, vec![i as u8; 256]);
+            let repair = vec![(1, vec![0xa5u8; eof_hal::flash::SECTOR_SIZE])];
+            let setup = || {
+                let mut t = transport_on(board.clone());
+                prime_trace(&mut t, &[5, 6, 6, 0x7000]);
+                t.halt().unwrap();
+                prime_ring(&mut t, full, 3, 1);
+                prime_ring(&mut t, empty, 0, 0);
+                t
+            };
+            let cases: [(&str, Txn, Twin); 9] = [
+                (
+                    "read_mem",
+                    txn_of(|t| t.read_mem(full, 20)),
+                    Box::new(move |p| p.read_mem(full, &mut [0u8; 20])),
+                ),
+                (
+                    "write_mem",
+                    txn_of(|t| t.write_mem(full, b"twin")),
+                    Box::new(move |p| p.write_mem(full, b"twin")),
+                ),
+                (
+                    "set_breakpoint",
+                    txn_of(|t| t.set_breakpoint(0x0800_0040)),
+                    Box::new(|p| p.set_breakpoint(0x0800_0040)),
+                ),
+                (
+                    "write_pages + restore_core",
+                    txn_of(|t| t.write_pages(vec![page(1), page(2)]).restore_core()),
+                    Box::new(move |p| {
+                        p.write_mem(page(1).0, &page(1).1)?;
+                        p.write_mem(page(2).0, &page(2).1)?;
+                        p.restore_core()
+                    }),
+                ),
+                (
+                    "drain_trace",
+                    txn_of(|t| t.drain_trace()),
+                    Box::new(|p| p.drain_trace().map(drop)),
+                ),
+                (
+                    "drain_ring (empty)",
+                    txn_of(|t| t.drain_ring(empty, 16, 8)),
+                    Box::new(move |p| p.read_mem(empty, &mut [0u8; 12])),
+                ),
+                (
+                    "drain_ring (3 records)",
+                    txn_of(|t| t.drain_ring(full, 16, 8)),
+                    Box::new(move |p| {
+                        p.read_mem(full, &mut [0u8; 12])?;
+                        p.read_mem(full + 12, &mut [0u8; 24])?;
+                        p.write_mem(full + 8, &[0u8; 4])?;
+                        p.write_mem(full, &[0u8; 4])
+                    }),
+                ),
+                (
+                    "flash checksums",
+                    txn_of(|t| {
+                        t.flash_checksum("kernel")
+                            .flash_sector_checksums("kernel", 1)
+                    }),
+                    Box::new(|p| {
+                        p.flash_checksum("kernel")?;
+                        p.flash_sector_checksums("kernel").map(drop)
+                    }),
+                ),
+                (
+                    "flash_write_sectors",
+                    txn_of(|t| t.flash_write_sectors("kernel", repair.clone())),
+                    Box::new(move |p| p.flash_write_sectors("kernel", &repair)),
+                ),
+            ];
+            for (label, txn, twin) in cases {
+                let (mut link, mut calls) = (setup(), setup());
+                link.set_vectored(false);
+                let (t0, ops0) = (link.now(), link.ops());
+                link.run_txn(&txn).unwrap();
+                twin(&mut calls).unwrap();
+                assert_eq!(
+                    link.now() - t0,
+                    calls.now() - t0,
+                    "{label} on {}",
+                    board.name
+                );
+                assert_eq!(
+                    link.ops() - ops0,
+                    calls.ops() - ops0,
+                    "{label} on {}",
+                    board.name
+                );
+            }
+        }
+    }
+
+    /// A scalar ring drain torn between its two reset writes is retried
+    /// as one op: the retry re-reads the same records (the count word,
+    /// reset last, still stood) and returns them exactly once, and both
+    /// header words end at zero.
+    #[test]
+    fn scalar_drain_ring_retry_returns_records_once() {
+        use crate::retry::{RetryPolicy, RetryStats};
+        let setup = || {
+            let mut t = transport_on(BoardCatalog::stm32f4_disco());
+            t.set_vectored(false);
+            t.halt().unwrap();
+            let base = t.machine().board().ram_base + 0x400;
+            prime_ring(&mut t, base, 3, 2);
+            (t, base)
+        };
+        // Time the drain's first three probe commands on a twin: the
+        // fourth (the count-word write) checks the link right after.
+        let (mut probe, base) = setup();
+        let start = probe.now();
+        probe.read_mem(base, &mut [0u8; 12]).unwrap();
+        probe.read_mem(base + 12, &mut [0u8; 24]).unwrap();
+        probe.write_mem(base + 8, &[0u8; 4]).unwrap();
+        let count_write_at = probe.now();
+
+        let (mut t, _) = setup();
+        assert_eq!(t.now(), start);
+        t.schedule_outage(count_write_at, 100);
+        let mut txn = Txn::new();
+        txn.drain_ring(base, 16, 8);
+        let mut stats = RetryStats::default();
+        let got = RetryPolicy::default()
+            .run_txn(&mut stats, &mut t, &txn)
+            .unwrap();
+        assert_eq!((stats.retries, stats.recovered), (1, 1));
+        let TxnResult::Bytes(raw) = &got[0] else {
+            panic!("expected bytes, got {got:?}");
+        };
+        assert_eq!(raw[..4], 3u32.to_le_bytes(), "records lost to the tear");
+        let records: Vec<u8> = (0x100u64..0x103).flat_map(u64::to_le_bytes).collect();
+        assert_eq!(raw[12..], records[..]);
+        let mut header = [0u8; 12];
+        t.read_mem(base, &mut header).unwrap();
+        let capacity_only = [0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(header, capacity_only, "count and overflow must end at zero");
     }
 
     #[test]
@@ -1420,9 +1682,10 @@ mod tests {
     #[test]
     fn scalar_restore_core_restarts_without_reset_charge() {
         let mut t = transport();
+        t.set_vectored(false);
         t.halt().unwrap();
         let resets_before = t.machine().reset_count();
-        t.restore_core().unwrap();
+        t.run_txn(Txn::new().restore_core()).unwrap();
         assert_eq!(t.machine().reset_count(), resets_before);
         assert!(t.continue_until_halt(100).is_ok());
     }
@@ -1454,23 +1717,23 @@ mod tests {
         let TxnResult::Bytes(empty) = &again[0] else {
             panic!("expected bytes");
         };
-        assert_eq!(u32::from_le_bytes([empty[0], empty[1], empty[2], empty[3]]), 0);
+        assert_eq!(
+            u32::from_le_bytes([empty[0], empty[1], empty[2], empty[3]]),
+            0
+        );
     }
 
     #[test]
     fn scalar_and_vectored_trace_drains_return_identical_bytes() {
         let ids: &[u64] = &[7, 7, 9, 0xffff_0001, 9];
-        let mut a = transport();
-        prime_trace(&mut a, ids);
-        a.halt().unwrap();
-        let scalar = a.drain_trace().unwrap();
-        let mut b = transport();
-        prime_trace(&mut b, ids);
-        b.halt().unwrap();
-        let mut txn = Txn::new();
-        txn.drain_trace();
-        let results = b.run_txn(&txn).unwrap();
-        assert_eq!(results[0], TxnResult::Bytes(scalar));
+        let drain = |vectored: bool| {
+            let mut t = transport();
+            t.set_vectored(vectored);
+            prime_trace(&mut t, ids);
+            t.halt().unwrap();
+            t.run_txn(Txn::new().drain_trace()).unwrap()
+        };
+        assert_eq!(drain(false), drain(true));
     }
 
     /// The stale-header regression (seeded): a batch that drains the
@@ -1493,7 +1756,8 @@ mod tests {
 
         // Same ring twice: refused. Two distinct rings: fine.
         let mut txn = Txn::new();
-        txn.drain_ring(base + 0x100, 4, 8).drain_ring(base + 0x100, 4, 8);
+        txn.drain_ring(base + 0x100, 4, 8)
+            .drain_ring(base + 0x100, 4, 8);
         assert!(matches!(t.run_txn(&txn), Err(DapError::Target(_))));
         let mut txn = Txn::new();
         txn.drain_ring(base + 0x100, 4, 8)
@@ -1522,7 +1786,9 @@ mod tests {
         let now = t.now();
         t.schedule_outage(now, 100);
         let mut stats = RetryStats::default();
-        let got = RetryPolicy::default().run_txn(&mut stats, &mut t, &txn).unwrap();
+        let got = RetryPolicy::default()
+            .run_txn(&mut stats, &mut t, &txn)
+            .unwrap();
         assert_eq!(stats.recovered, 1);
         assert_eq!(got, want);
     }

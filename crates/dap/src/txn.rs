@@ -10,8 +10,10 @@
 //! on-target fuzzing throughput (the paper's §5.5; EmbedFuzz and
 //! Ember-IO in PAPERS.md make the same argument from opposite ends).
 //!
-//! A [`Txn`] queues operations host-side and submits them as **one**
-//! link transaction:
+//! A [`Txn`] queues operations host-side; every consumer builds one, and
+//! the link's wire model decides how it ships. A scalar link sends each
+//! op as its own probe command. A vectored link (the default) submits
+//! the batch as **one** link transaction:
 //!
 //! * one [`LinkConfig::latency`](crate::LinkConfig) charge and one TAP
 //!   scan for the whole batch, with the bulk payload shifted in block
@@ -153,11 +155,12 @@ pub enum TxnOp {
     /// keeps its (just delta-restored) contents and no reset latency is
     /// paid. The snapshot restore's final step.
     RestoreCore,
-    /// Atomically drain **and reset** a record ring (the cmplog
-    /// channel): read `header + capacity × record_bytes` at `base`, then
-    /// zero the count and overflow words — one operation, so a link
-    /// fault can only lose the whole drain (replayed whole), never leave
-    /// the ring half-reset under a stale count.
+    /// Atomically drain **and reset** a record ring (the coverage ring
+    /// and the cmplog channel): read the 12-byte header and the live
+    /// records at `base`, then zero the count and overflow words — one
+    /// operation, so a link fault can only lose the whole drain
+    /// (replayed whole), never leave the ring half-reset under a stale
+    /// count.
     DrainRing {
         /// Ring header address.
         base: u32,
@@ -387,7 +390,7 @@ impl Txn {
         self.push(TxnOp::RestoreCore)
     }
 
-    /// Queue an atomic ring drain-and-reset (the cmplog channel).
+    /// Queue an atomic ring drain-and-reset (coverage ring or cmplog).
     pub fn drain_ring(&mut self, base: u32, capacity: u32, record_bytes: u32) -> &mut Self {
         self.push(TxnOp::DrainRing {
             base,

@@ -44,7 +44,6 @@ pub struct StateRestoration {
     golden_sectors: Vec<Vec<u64>>,
     restorations: u64,
     reflashes: u64,
-    vectored: bool,
     snapshot_mode: bool,
     /// Armed board snapshot: the parked state a delta restore returns to.
     snapshot: Option<Snapshot>,
@@ -93,19 +92,12 @@ impl StateRestoration {
             golden_sectors,
             restorations: 0,
             reflashes: 0,
-            vectored: eof_dap::vectored_default(),
             snapshot_mode: eof_dap::snapshot_default(),
             snapshot: None,
             snapshot_captures: 0,
             snapshot_restores: 0,
             golden_generation: None,
         })
-    }
-
-    /// Select vectored (batched) or scalar debug-port traffic for the
-    /// verify/reflash paths. Campaigns thread their `vectored` knob here.
-    pub fn set_vectored(&mut self, vectored: bool) {
-        self.vectored = vectored;
     }
 
     /// Enable or disable the snapshot/delta-restore fast path. Campaigns
@@ -187,10 +179,9 @@ impl StateRestoration {
 
     /// Delta restore from the armed snapshot: ship every dirty page back
     /// and restart the core at the reset vector, without a reboot and
-    /// without touching flash. Vectored mode sends the whole delta as
-    /// ONE transaction (scatter write + register restore, all-or-
-    /// nothing); the scalar fallback writes page by page. The caller is
-    /// expected to have checked [`Self::snapshot_ready`].
+    /// without touching flash — one transaction (scatter write +
+    /// register restore), all-or-nothing on a vectored link. The caller
+    /// is expected to have checked [`Self::snapshot_ready`].
     pub fn snapshot_restore(&mut self, pipe: &mut DebugTransport) -> Result<(), DapError> {
         let Some(snap) = &self.snapshot else {
             return Err(DapError::Protocol("no snapshot armed".into()));
@@ -203,16 +194,7 @@ impl StateRestoration {
             .map(|p| (snap.page_addr(p), snap.page(p).to_vec()))
             .collect();
         let shipped = pages.len() as u64;
-        if self.vectored {
-            let mut txn = Txn::new();
-            txn.write_pages(pages).restore_core();
-            pipe.run_txn(&txn)?;
-        } else {
-            for (addr, data) in &pages {
-                pipe.write_mem(*addr, data)?;
-            }
-            pipe.restore_core()?;
-        }
+        pipe.run_txn(Txn::new().write_pages(pages).restore_core())?;
         self.snapshot_restores += 1;
         tel::count("restore.snapshot.restores", 1);
         tel::observe("restore.snapshot.pages", shipped);
@@ -321,33 +303,8 @@ impl StateRestoration {
             // reboot.
             tel::count("restore.generation_shortcut", 1);
             pipe.reset_target()?;
-        } else if self.vectored {
-            self.restore_vectored(pipe)?;
         } else {
-            for i in 0..self.images.len() {
-                let name = self.images[i].0.clone();
-                // As in the vectored path: an unreadable checksum means
-                // the board is sick, not that the flash is damaged.
-                let intact = pipe.flash_checksum(&name)? == self.golden[i].1;
-                if intact {
-                    tel::count("restore.partitions_verified_intact", 1);
-                    continue;
-                }
-                let target = pipe.flash_sector_checksums(&name)?;
-                let delta = self.sector_delta(i, &target);
-                if delta.is_empty() {
-                    // The partition checksum disagreed but every sector
-                    // matched — a lying checksum engine. Distrust it and
-                    // stream the whole image.
-                    pipe.flash_partition(&name, &self.images[i].1)?;
-                } else {
-                    tel::count("restore.sectors_reflashed", delta.len() as u64);
-                    pipe.flash_write_sectors(&name, &delta)?;
-                }
-                self.reflashes += 1;
-                tel::count("restore.partitions_reflashed", 1);
-            }
-            pipe.reset_target()?;
+            self.verify_and_repair(pipe)?;
         }
         if self.reflashes == reflashes_before {
             // Nothing was programmed: reads and the reboot leave the
@@ -372,17 +329,17 @@ impl StateRestoration {
         Ok(())
     }
 
-    /// Vectored verify/reflash: every partition checksum in one
-    /// transaction; then, for the damaged partitions, every per-sector
-    /// checksum in a second; then the sector repairs plus the reboot in
-    /// a third. Only a checksum that *answered* and disagreed counts as
-    /// damage; a refused checksum transaction (flash port down, fault
+    /// Verify/reflash: every partition checksum in one transaction;
+    /// then, for the damaged partitions, every per-sector checksum in a
+    /// second; then the sector repairs plus the reboot in a third. Only
+    /// a checksum that *answered* and disagreed counts as damage; a
+    /// refused checksum transaction (flash port down, fault
     /// mid-episode) proves the board cannot take a reflash either, so
     /// the error propagates and the ladder escalates instead of
     /// streaming golden images at a port that will refuse them. The
     /// `full_reflash` rung above still covers a checksum engine that
     /// answers garbage.
-    fn restore_vectored(&mut self, pipe: &mut DebugTransport) -> Result<(), DapError> {
+    fn verify_and_repair(&mut self, pipe: &mut DebugTransport) -> Result<(), DapError> {
         let mut verify = Txn::new();
         for (name, _) in &self.images {
             verify.flash_checksum(name);
@@ -462,13 +419,7 @@ impl StateRestoration {
                     ..(block + FULL_REFLASH_BLOCK_SECTORS).min(n_sectors))
                     .map(|s| (s as u32, self.golden_sector_bytes(i, s)))
                     .collect();
-                if self.vectored {
-                    let mut txn = Txn::new();
-                    txn.flash_write_sectors(&name, sectors);
-                    pipe.run_txn(&txn)?;
-                } else {
-                    pipe.flash_write_sectors(&name, &sectors)?;
-                }
+                pipe.run_txn(Txn::new().flash_write_sectors(&name, sectors))?;
             }
             self.reflashes += 1;
             tel::count("restore.partitions_reflashed", 1);
@@ -709,17 +660,21 @@ mod tests {
 
     #[test]
     fn scalar_snapshot_restore_matches_vectored() {
-        let (mut resto, mut t) = setup();
-        resto.set_vectored(false);
-        let _ = t.continue_until_halt(200);
-        resto.capture_snapshot(&mut t).unwrap();
-        let base = t.machine().board().ram_base;
-        t.write_mem(base + 0x800, &[0x55; 64]).unwrap();
-        resto.snapshot_restore(&mut t).unwrap();
-        let mut buf = [0u8; 4];
-        t.read_mem(base + 0x800, &mut buf).unwrap();
-        assert_ne!(buf, [0x55; 4]);
-        assert!(t.read_pc().is_ok());
+        let rewind = |vectored: bool| {
+            let (mut resto, mut t) = setup();
+            t.set_vectored(vectored);
+            let _ = t.continue_until_halt(200);
+            resto.capture_snapshot(&mut t).unwrap();
+            let base = t.machine().board().ram_base;
+            t.write_mem(base + 0x800, &[0x55; 64]).unwrap();
+            resto.snapshot_restore(&mut t).unwrap();
+            let mut buf = [0u8; 4];
+            t.read_mem(base + 0x800, &mut buf).unwrap();
+            (buf, t.read_pc().unwrap())
+        };
+        let scalar = rewind(false);
+        assert_ne!(scalar.0, [0x55; 4]);
+        assert_eq!(scalar, rewind(true));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Quickstart: boot an embedded OS on a simulated board, poke it through
-//! the OpenOCD-style command channel, execute one hand-written test case
+//! GDB remote-protocol packets, execute one hand-written test case
 //! through the agent, and watch the monitors catch a seeded kernel bug.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use eof::dap::{encode_txn, frame_packet, parse_packet};
 use eof::prelude::*;
 use eof::speclang::prog::{ArgValue, Call};
 
@@ -23,19 +24,24 @@ fn main() {
     );
     println!("booted : {:?}", machine.state());
 
-    // ── 2. Talk to it the way the paper does: an OpenOCD session over
-    //        the debug port. ───────────────────────────────────────────
-    let mut ocd = OcdServer::new(DebugTransport::attach(machine, LinkConfig::default()));
-    for cmd in [
-        "targets",
-        "reg pc",
-        "mww 0x3ffb0040 0xdeadbeef",
-        "mdw 0x3ffb0040",
+    // ── 2. Talk to it the way the paper does: a GDB remote-protocol
+    //        session over the debug port — single packets, then a
+    //        write + read-back as one vectored `vTxn` transaction. ─────
+    let mut rsp = RspServer::new(DebugTransport::attach(machine, LinkConfig::default()));
+    let mut txn = Txn::new();
+    txn.write_mem(0x3ffb_0044, b"EOF!").read_mem(0x3ffb_0040, 8);
+    for packet in [
+        "?".to_string(),
+        "p20".to_string(),
+        "M3ffb0040,4:efbeadde".to_string(),
+        "m3ffb0040,4".to_string(),
+        encode_txn(&txn).unwrap(),
     ] {
-        println!("ocd    > {cmd}");
-        println!("ocd    < {}", ocd.execute(cmd).unwrap());
+        let reply = rsp.handle(&frame_packet(&packet)).unwrap();
+        println!("rsp    > {packet}");
+        println!("rsp    < {}", parse_packet(&reply).unwrap());
     }
-    let transport = ocd.into_transport();
+    let transport = rsp.into_transport();
 
     // ── 3. Hand the session to the EOF executor and run a hand-written
     //        test case (create a queue, send to it, parse some JSON). ──

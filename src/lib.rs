@@ -2,19 +2,21 @@
 //!
 //! A from-scratch Rust reproduction of the EuroSys '26 paper. EOF is a
 //! feedback-guided fuzzer that tests embedded operating systems *running
-//! on hardware*, using the debug port (JTAG/SWD, via an OpenOCD/GDB-style
+//! on hardware*, using the debug port (JTAG/SWD, via a GDB-RSP-style
 //! stack) as the single channel of control and observation: test cases go
 //! down as direct memory writes, execution synchronises on hardware
 //! breakpoints at the on-target agent's sync points, coverage and crash
 //! state come back as memory reads and UART logs, and degraded targets
-//! are revived by reflashing over the same port.
+//! are revived by reflashing over the same port. Every consumer builds a
+//! [`dap::Txn`]; the link's wire model (vectored or scalar) decides how
+//! it ships.
 //!
 //! Everything the paper runs on is implemented in this workspace:
 //!
 //! | crate | role |
 //! |---|---|
 //! | [`hal`] | simulated MCU boards (RAM, flash partitions, UART, debug surface, fault injection) |
-//! | [`dap`] | the debug access port: transport, JTAG TAP, OpenOCD server, GDB RSP |
+//! | [`dap`] | the debug access port: transport and its wire model, JTAG TAP, GDB RSP |
 //! | [`rtos`] | kernel models of FreeRTOS, RT-Thread, NuttX, Zephyr and PoK, with the 19 Table-2 bugs seeded |
 //! | [`agent`] | the cross-platform on-target execution agent |
 //! | [`speclang`] | the Syzlang-style specification language and prog wire format |
@@ -65,7 +67,7 @@ pub mod prelude {
     };
     pub use eof_core::{run_campaign, CampaignResult, Executor, Fuzzer, FuzzerConfig, Generator};
     pub use eof_coverage::InstrumentMode;
-    pub use eof_dap::{DebugTransport, LinkConfig, OcdServer, RspServer, Txn, TxnOp, TxnResult};
+    pub use eof_dap::{DebugTransport, LinkConfig, RspServer, Txn, TxnOp, TxnResult};
     pub use eof_hal::{BoardCatalog, BoardSpec, Machine};
     pub use eof_monitors::{LivenessWatchdog, LogMonitor, StateRestoration};
     pub use eof_rtos::image::{build_image, ImageProfile};

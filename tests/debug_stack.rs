@@ -1,8 +1,8 @@
-//! Integration tests of the debug-port stack: OpenOCD commands and GDB
-//! RSP packets driving real agent firmware, plus monitor behaviour over
-//! the same link.
+//! Integration tests of the debug-port stack: GDB RSP packets (single
+//! commands and `vTxn` transactions) driving real agent firmware, plus
+//! monitor behaviour over the same link.
 
-use eof::dap::{frame_packet, parse_packet};
+use eof::dap::{decode_txn_reply, encode_txn, frame_packet, parse_packet};
 use eof::monitors::{ExceptionMonitor, Liveness, LivenessWatchdog};
 use eof::prelude::*;
 
@@ -17,21 +17,35 @@ fn transport(os: OsKind) -> DebugTransport {
 }
 
 #[test]
-fn ocd_session_against_live_agent() {
-    let mut ocd = OcdServer::new(transport(OsKind::Zephyr));
-    assert!(ocd.execute("targets").unwrap().contains("qemu-virt-arm"));
+fn rsp_session_against_live_agent() {
+    let mut rsp = RspServer::new(transport(OsKind::Zephyr));
+    rsp.run_budget = 500;
+    let mut ask = |packet: &str| {
+        let reply = rsp.handle(&frame_packet(packet)).unwrap();
+        parse_packet(&reply).unwrap().to_string()
+    };
+    assert_eq!(ask("?"), "S05");
     // Let it boot, then read the PC twice — it must move.
-    ocd.transport_mut().continue_until_halt(500).unwrap();
-    let pc1 = ocd.execute("reg pc").unwrap();
-    ocd.transport_mut().continue_until_halt(500).unwrap();
-    let pc2 = ocd.execute("reg pc").unwrap();
+    ask("c");
+    let pc1 = ask("p20");
+    ask("c");
+    let pc2 = ask("p20");
     assert_ne!(pc1, pc2, "agent must make progress");
-    // Memory scratch write via the text protocol.
-    ocd.execute("mww 0x40000010 0x12345678").unwrap();
-    assert!(ocd
-        .execute("mdw 0x40000010")
-        .unwrap()
-        .contains("0x12345678"));
+    // Memory scratch write via the text protocol, then a write and a
+    // read-back as one vTxn transaction.
+    assert_eq!(ask("M40000010,4:78563412"), "OK");
+    assert_eq!(ask("m40000010,4"), "78563412");
+    let mut txn = Txn::new();
+    txn.write_mem(0x4000_0014, &[0xca, 0xfe])
+        .read_mem(0x4000_0010, 6);
+    let reply = decode_txn_reply(&ask(&encode_txn(&txn).unwrap())).unwrap();
+    assert_eq!(
+        reply,
+        [
+            TxnResult::Done,
+            TxnResult::Bytes(vec![0x78, 0x56, 0x34, 0x12, 0xca, 0xfe])
+        ]
+    );
 }
 
 #[test]
