@@ -1,6 +1,8 @@
 //! Baseline fuzzer configurations.
 
-use eof_core::config::{DetectionConfig, FuzzerConfig, GenerationMode, RecoveryConfig};
+use eof_core::config::{
+    DetectionConfig, FuzzerConfig, GenerationMode, HangDetector, RecoveryConfig,
+};
 use eof_coverage::InstrumentMode;
 use eof_hal::BoardCatalog;
 use eof_rtos::image::ImageProfile;
@@ -134,13 +136,9 @@ impl BaselineKind {
                 cfg.detection = DetectionConfig {
                     exception_breakpoints: true,
                     log_monitor: false,
-                    timeout_only_secs: None,
+                    hang: HangDetector::PcStall,
                 };
-                cfg.recovery = RecoveryConfig {
-                    stall_watchdog: true,
-                    reflash: false,
-                    power_liveness: false,
-                };
+                cfg.recovery = RecoveryConfig::reboot_only();
             }
             BaselineKind::Shift => {
                 // Sanitizer coverage through semihosting (full
@@ -151,13 +149,9 @@ impl BaselineKind {
                 cfg.detection = DetectionConfig {
                     exception_breakpoints: true,
                     log_monitor: false,
-                    timeout_only_secs: None,
+                    hang: HangDetector::PcStall,
                 };
-                cfg.recovery = RecoveryConfig {
-                    stall_watchdog: true,
-                    reflash: false,
-                    power_liveness: false,
-                };
+                cfg.recovery = RecoveryConfig::reboot_only();
             }
             _ => unreachable!(),
         }
@@ -201,7 +195,12 @@ mod tests {
         assert_eq!(eof.instrument, tardis.instrument);
         assert!(tardis.coverage_feedback);
         // Different monitors, recovery, substrate.
-        assert!(tardis.detection.timeout_only_secs.is_some());
+        assert_eq!(
+            tardis.detection.hang,
+            HangDetector::Timeout {
+                secs: TARDIS_TIMEOUT_SECS
+            }
+        );
         assert!(!tardis.detection.exception_breakpoints);
         assert!(!tardis.recovery.reflash);
         assert!(tardis.exec_cost_multiplier > 1.0);
@@ -220,6 +219,48 @@ mod tests {
         assert!(gdb.module_filter.is_some());
         let shift = BaselineKind::Shift.app_level_config(1).unwrap();
         assert_eq!(shift.exec_cost_multiplier, SEMIHOST_COST);
+    }
+
+    #[test]
+    fn config_fingerprints_are_pinned() {
+        // Persisted stores are keyed by these values (the checked-in
+        // regression corpus among them): a config refactor must keep
+        // every configuration's fingerprint byte for byte.
+        let full = |kind: BaselineKind, os| kind.full_system_config(os, 1).unwrap();
+        let app = |kind: BaselineKind| kind.app_level_config(1).unwrap();
+        let eof_with = |hang| {
+            let mut cfg = FuzzerConfig::eof(OsKind::Zephyr, 42);
+            cfg.detection.hang = hang;
+            cfg
+        };
+        let pinned = [
+            (FuzzerConfig::eof(OsKind::FreeRtos, 9), "6bfe5f8d1d41a900"),
+            (
+                FuzzerConfig::eof_driver(OsKind::Zephyr, 5),
+                "b00baa040f53fa9e",
+            ),
+            (
+                full(BaselineKind::Tardis, OsKind::Zephyr),
+                "72f7ecc68eba4dd7",
+            ),
+            (
+                full(BaselineKind::Gustave, OsKind::PokOs),
+                "8fa91c44ffce14fd",
+            ),
+            (app(BaselineKind::GdbFuzz), "a197309a204f4bdf"),
+            (app(BaselineKind::Shift), "a0ac3937ddc8defb"),
+            (eof_with(HangDetector::PowerRail), "69c267a5bc0b0f29"),
+            (
+                eof_with(HangDetector::Timeout { secs: 15 }),
+                "2d318c3c3f1088b1",
+            ),
+        ];
+        for (i, (mut cfg, want)) in pinned.into_iter().enumerate() {
+            // Pinned off so the process environment cannot move it.
+            cfg.cmplog = false;
+            let got = format!("{:016x}", eof_core::config_fingerprint(&cfg));
+            assert_eq!(got, want, "configuration {i}");
+        }
     }
 
     #[test]

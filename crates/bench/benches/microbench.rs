@@ -184,7 +184,7 @@ fn bench_snapshot_restore(c: &mut Criterion) {
     let mut t = DebugTransport::attach(machine, LinkConfig::default());
     let _ = t.continue_until_halt(200);
     c.bench_function("snapshot_restore/capture", |b| {
-        b.iter(|| black_box(resto.capture_snapshot(&mut t).unwrap()))
+        b.iter(|| resto.capture_snapshot(&mut t).unwrap())
     });
     let base = t.machine().board().ram_base;
     for pages in [1usize, 16, 64] {

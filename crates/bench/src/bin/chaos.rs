@@ -30,6 +30,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 struct Cell {
     os: OsKind,
     chaos_seed: u64,
+    snapshot: bool,
     report: ChaosReport,
     reproducible: bool,
 }
@@ -155,6 +156,7 @@ fn main() {
             cells.push(Cell {
                 os,
                 chaos_seed,
+                snapshot: cfg.base.snapshot,
                 report,
                 reproducible,
             });
@@ -189,7 +191,7 @@ fn main() {
         .iter()
         .map(|c| format!("    {}", cell_json(c)))
         .collect();
-    let snapshot_mode = eof_dap::snapshot_default();
+    let snapshot_mode = cells.iter().all(|c| c.snapshot);
     let json = format!(
         "{{\n  \"config\": {{\"hours\": {hours}, \"faults_per_cell\": {faults}, \"snapshot\": {snapshot_mode}, \"chaos_seeds\": [{}], \"oses\": [{}]}},\n  \"cells\": [\n{}\n  ],\n  \"total\": {{\"episodes\": {total_episodes}, \"recovered\": {total_recovered}, \"manual_interventions\": {total_manual}}},\n  \"all_invariants_hold\": {all_ok},\n  \"telemetry\": {telemetry_json}\n}}\n",
         chaos_seeds.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(", "),

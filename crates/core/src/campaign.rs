@@ -153,41 +153,7 @@ pub fn build_fuzzer(config: FuzzerConfig, plan: FaultPlan) -> (Fuzzer, GenReport
     let image_bytes = image.len();
     tel::span_end(image_span, 0);
     let boot_span = tel::span_start("campaign.boot", 0);
-    let mut machine = Machine::new(config.board.clone(), agent_loader());
-    machine
-        .reflash_partition("kernel", &image)
-        .expect("image fits kernel partition");
-    machine.reset();
-    if plan.pending() > 0 {
-        // Armed after boot: the plan's cycle offsets are rebased to the
-        // current bus time by the machine.
-        machine.set_fault_plan(plan);
-    }
-
-    // ① Memory layout from the build configuration.
-    let kconfig_text = render_kconfig(
-        &config.board.arch.to_string().to_lowercase(),
-        machine.flash().table(),
-    );
-    let kconfig = parse_kconfig(&kconfig_text).expect("rendered kconfig parses");
-    // The restoration keeps its own golden copy (it re-flashes from it
-    // on recovery, and the cache entry must stay pristine).
-    let restoration = StateRestoration::from_kconfig(
-        &kconfig,
-        config.board.flash_size,
-        vec![("kernel".to_string(), (*image).clone())],
-    )
-    .expect("golden image fits");
-
-    // Attach over the debug interface and fuzz.
-    let transport = DebugTransport::attach(machine, LinkConfig::default());
-    let executor = Executor::new(
-        transport,
-        config.clone(),
-        api_table_of(config.os),
-        restoration,
-    )
-    .expect("executor binds to sync symbols");
+    let executor = boot_executor(&config, &image, plan);
     tel::span_end(boot_span, executor.now());
     let generator =
         Generator::new(spec, config.seed, config.gen_mode, config.max_calls).with_mmio(config.mmio);
@@ -205,6 +171,47 @@ pub fn build_fuzzer(config: FuzzerConfig, plan: FaultPlan) -> (Fuzzer, GenReport
         fuzzer.set_store(store);
     }
     (fuzzer, spec_report, image_bytes)
+}
+
+/// The one boot recipe: flash `image`, reset, render and parse the
+/// build configuration (① the memory layout), keep a golden
+/// restoration of the image, attach over the debug interface and bind
+/// an executor parked at its first sync point. Campaigns, replay and
+/// the test harnesses all boot through here. `plan` is armed after
+/// boot, so its cycle offsets count from the attach.
+pub fn boot_executor(config: &FuzzerConfig, image: &[u8], plan: FaultPlan) -> Executor {
+    let mut machine = Machine::new(config.board.clone(), agent_loader());
+    machine
+        .reflash_partition("kernel", image)
+        .expect("image fits kernel partition");
+    machine.reset();
+    if plan.pending() > 0 {
+        // The machine rebases the plan's cycle offsets to its current
+        // bus time.
+        machine.set_fault_plan(plan);
+    }
+    let kconfig_text = render_kconfig(
+        &config.board.arch.to_string().to_lowercase(),
+        machine.flash().table(),
+    );
+    let kconfig = parse_kconfig(&kconfig_text).expect("rendered kconfig parses");
+    // The restoration keeps its own golden copy: it re-flashes from it
+    // on recovery, and the caller's image (often a shared cache entry)
+    // must stay pristine.
+    let restoration = StateRestoration::from_kconfig(
+        &kconfig,
+        config.board.flash_size,
+        vec![("kernel".to_string(), image.to_vec())],
+    )
+    .expect("golden image fits");
+    let transport = DebugTransport::attach(machine, LinkConfig::default());
+    Executor::new(
+        transport,
+        config.clone(),
+        api_table_of(config.os),
+        restoration,
+    )
+    .expect("executor binds to sync symbols")
 }
 
 fn run_campaign_traced(

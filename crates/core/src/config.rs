@@ -8,6 +8,7 @@ use eof_coverage::{CoverageKind, InstrumentMode};
 use eof_hal::BoardSpec;
 use eof_rtos::image::ImageProfile;
 use eof_rtos::OsKind;
+use std::sync::OnceLock;
 
 /// How test cases are produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,6 +21,24 @@ pub enum GenerationMode {
     RandomBytes,
 }
 
+/// How the host decides that a running target has hung — Algorithm 1's
+/// liveness signal. A campaign has exactly one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HangDetector {
+    /// Algorithm 1's watchdogs: a PC that stopped moving, or a debug
+    /// connection that timed out (EOF, GDBFuzz, SHIFT).
+    PcStall,
+    /// The §6 extension: plateaus and idle draw on the power rail, read
+    /// without touching the debug link.
+    PowerRail,
+    /// Wait out a fixed patience, in simulated seconds, then triage the
+    /// UART tail offline (the Tardis-style baselines).
+    Timeout {
+        /// Simulated seconds of patience per execution.
+        secs: u64,
+    },
+}
+
 /// Which bug/state detectors a fuzzer has.
 #[derive(Debug, Clone, Copy)]
 pub struct DetectionConfig {
@@ -27,9 +46,8 @@ pub struct DetectionConfig {
     pub exception_breakpoints: bool,
     /// UART log signature scanning.
     pub log_monitor: bool,
-    /// Timeout-only hang detection with this many simulated seconds of
-    /// patience (`None` = use the PC-stall watchdog instead).
-    pub timeout_only_secs: Option<u64>,
+    /// How a hang is noticed.
+    pub hang: HangDetector,
 }
 
 impl DetectionConfig {
@@ -38,7 +56,7 @@ impl DetectionConfig {
         DetectionConfig {
             exception_breakpoints: true,
             log_monitor: true,
-            timeout_only_secs: None,
+            hang: HangDetector::PcStall,
         }
     }
 
@@ -47,7 +65,7 @@ impl DetectionConfig {
         DetectionConfig {
             exception_breakpoints: false,
             log_monitor: false,
-            timeout_only_secs: Some(secs),
+            hang: HangDetector::Timeout { secs },
         }
     }
 }
@@ -55,42 +73,51 @@ impl DetectionConfig {
 /// How degraded states are recovered.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryConfig {
-    /// Host-side PC-stall watchdog (Algorithm 1's second check).
-    pub stall_watchdog: bool,
     /// Full reflash on unrecoverable state (vs reboot only).
     pub reflash: bool,
-    /// Power-rail plateau detection as the stall channel (the paper's §6
-    /// extension; used when the PC-stall watchdog is off or alongside it).
-    pub power_liveness: bool,
 }
 
 impl RecoveryConfig {
-    /// EOF's recovery: watchdogs + reflash.
+    /// EOF's recovery: the full ladder up to reflash.
     pub fn eof() -> Self {
-        RecoveryConfig {
-            stall_watchdog: true,
-            reflash: true,
-            power_liveness: false,
-        }
+        RecoveryConfig { reflash: true }
     }
 
     /// Reboot-only recovery (emulator snapshot-style).
     pub fn reboot_only() -> Self {
-        RecoveryConfig {
-            stall_watchdog: false,
-            reflash: false,
-            power_liveness: false,
-        }
+        RecoveryConfig { reflash: false }
     }
+}
 
-    /// The §6 extension: power-rail liveness instead of PC polling.
-    pub fn power_based() -> Self {
-        RecoveryConfig {
-            stall_watchdog: false,
-            reflash: true,
-            power_liveness: true,
+/// The process-environment knobs behind [`FuzzerConfig::eof`]'s
+/// defaults. This is the only place the engine's crates read them.
+struct EnvDefaults {
+    /// `EOF_VECTORED`: unset or anything but `"0"` = vectored.
+    vectored: bool,
+    /// `EOF_SNAPSHOT`: unset or anything but `"0"` = snapshot fast path.
+    snapshot: bool,
+    /// `EOF_CMPLOG`: defaults **off**; anything but `"0"` arms it.
+    cmplog: bool,
+    /// `EOF_COV`: `trace` = hardware trace; anything else = the ring.
+    coverage_backend: CoverageKind,
+}
+
+/// Read the knobs once per process.
+fn env_defaults() -> &'static EnvDefaults {
+    static DEFAULTS: OnceLock<EnvDefaults> = OnceLock::new();
+    DEFAULTS.get_or_init(|| {
+        let flag =
+            |name: &str, default: bool| std::env::var(name).map(|v| v != "0").unwrap_or(default);
+        EnvDefaults {
+            vectored: flag("EOF_VECTORED", true),
+            snapshot: flag("EOF_SNAPSHOT", true),
+            cmplog: flag("EOF_CMPLOG", false),
+            coverage_backend: match std::env::var("EOF_COV") {
+                Ok(v) if v == "trace" => CoverageKind::Trace,
+                _ => CoverageKind::Ring,
+            },
         }
-    }
+    })
 }
 
 /// Full campaign configuration.
@@ -199,6 +226,7 @@ pub struct FuzzerConfig {
 impl FuzzerConfig {
     /// EOF's own configuration for a full-system campaign.
     pub fn eof(os: OsKind, seed: u64) -> Self {
+        let env = env_defaults();
         FuzzerConfig {
             os,
             board: eof_rtos::registry::default_board(os),
@@ -221,11 +249,11 @@ impl FuzzerConfig {
             peripheral_events: false,
             exclude_pseudo: false,
             persist: None,
-            vectored: eof_dap::vectored_default(),
-            snapshot: eof_dap::snapshot_default(),
+            vectored: env.vectored,
+            snapshot: env.snapshot,
             mmio: false,
-            cmplog: eof_dap::cmplog_default(),
-            coverage_backend: eof_coverage::backend_default(),
+            cmplog: env.cmplog,
+            coverage_backend: env.coverage_backend,
         }
     }
 
@@ -281,7 +309,7 @@ mod tests {
         assert!(c.coverage_feedback);
         assert!(c.detection.exception_breakpoints);
         assert!(c.detection.log_monitor);
-        assert!(c.detection.timeout_only_secs.is_none());
+        assert_eq!(c.detection.hang, HangDetector::PcStall);
         assert!(c.recovery.reflash);
         assert_eq!(c.budget_hours, 24.0);
     }
@@ -323,7 +351,7 @@ mod tests {
         assert!(!c.crash_feedback);
         // Everything else identical to EOF.
         assert!(c.detection.exception_breakpoints);
-        assert!(c.recovery.stall_watchdog);
+        assert_eq!(c.detection.hang, HangDetector::PcStall);
         assert_eq!(c.gen_mode, GenerationMode::ApiAware);
     }
 }

@@ -3,11 +3,11 @@
 //! The executor owns the probe session and implements the host half of
 //! the paper's Figure 4: it parks the target at `executor_main()`,
 //! writes the encoded prog into the agent's buffer, resumes, services
-//! `_kcmp_buf_full` drains, classifies exception halts, catches stalls
-//! with the liveness watchdogs (or a bare timeout, for the baselines),
-//! and restores the target when it degrades.
+//! `_kcmp_buf_full` drains, classifies exception halts, asks the
+//! campaign's one hang detector whether a running target has hung, and
+//! restores the target when it degrades.
 
-use crate::config::FuzzerConfig;
+use crate::config::{FuzzerConfig, HangDetector};
 use crate::crash::{triage, CrashReport, DetectionSource};
 use crate::supervisor::{RecoveryReason, RecoverySupervisor, ResilienceStats};
 use eof_agent::AgentLayout;
@@ -19,7 +19,8 @@ use eof_dap::{DebugTransport, LinkEvent, RetryPolicy, RetryStats, Txn, TxnResult
 use eof_hal::clock::{secs_to_cycles, CYCLES_PER_SEC};
 use eof_hal::Endianness;
 use eof_monitors::{
-    parse_backtrace, Liveness, LivenessWatchdog, LogMonitor, PowerWatchdog, StateRestoration,
+    parse_backtrace, Liveness, LivenessWatchdog, LogHit, LogMonitor, PatternSet, PowerWatchdog,
+    StateRestoration,
 };
 use eof_speclang::prog::Prog;
 use eof_speclang::wire::{encode_prog, ApiTable, WireOrder};
@@ -73,6 +74,24 @@ pub struct ExecOutcome {
     /// dropped, trace FIFO overflow, or a drain discarded whole): the
     /// edges observed are valid, but absence proves nothing.
     pub cov_partial: bool,
+}
+
+/// Why an execution ended degraded. Every such exit of the exec loop
+/// recovers through [`Executor::declare_degraded`].
+#[derive(Debug, Clone, Copy)]
+enum Degraded {
+    /// The hang detector fired. `source` is who files a crash for the
+    /// hang: the log monitor, or offline triage of the UART tail under
+    /// a timeout-only detector.
+    Hang {
+        reason: RecoveryReason,
+        source: DetectionSource,
+    },
+    /// The exec ran out of slices before any detector fired.
+    SliceCap,
+    /// The target is unreachable: a dead core, or a link error that
+    /// outlived the retries.
+    Lost,
 }
 
 /// The host-side executor bound to one probe session.
@@ -172,8 +191,6 @@ impl Executor {
             }
         };
         let supervisor = RecoverySupervisor::for_policy(&config.recovery);
-        let mut restoration = restoration;
-        restoration.set_snapshot_mode(config.snapshot);
         let mut exec = Executor {
             transport,
             config,
@@ -534,6 +551,121 @@ impl Executor {
         }
     }
 
+    /// File a crash for this exec from the UART lines just scanned, if
+    /// the detector that owns the exit saw one. Under `Timeout` the tool
+    /// triages the UART tail offline and files its newest crash-looking
+    /// line; otherwise the log monitor, when armed, files the first
+    /// signature this scan matched.
+    fn attribute(
+        &mut self,
+        hits: &[LogHit],
+        source: DetectionSource,
+        prog: &Prog,
+    ) -> Option<CrashReport> {
+        if source == DetectionSource::Timeout {
+            let tail = self.log_monitor.tail();
+            let patterns = PatternSet::default_crash_patterns();
+            let line = tail
+                .iter()
+                .rev()
+                .find(|l| patterns.first_match(l).is_some())?;
+            let backtrace = parse_backtrace(tail);
+            return Some(CrashReport {
+                os: self.config.os,
+                message: line.clone(),
+                bug: triage(self.config.os, line, &backtrace),
+                backtrace,
+                source,
+                prog: prog.clone(),
+                at_hours: self.now_hours(),
+            });
+        }
+        let hit = hits.first().filter(|_| self.config.detection.log_monitor)?;
+        let mut report = self.crash_from_banner(DetectionSource::LogMonitor, prog);
+        report.message = hit.line.clone();
+        report.bug = triage(self.config.os, &hit.line, &report.backtrace).or(report.bug);
+        Some(report)
+    }
+
+    /// The hang detector's verdict on a target that has not come back
+    /// to `executor_main`; `None` while it still looks alive. The only
+    /// reader of `detection.hang`. `in_handler` marks a target parked
+    /// in the exception handler across three resumes: its PC provably
+    /// has not left the handler, which is all Algorithm 1's PC check
+    /// asks.
+    fn hang_verdict(&mut self, start: u64, in_handler: bool) -> Option<Degraded> {
+        use DetectionSource::LogMonitor;
+        use RecoveryReason::{ConnectionLoss, Stall};
+        let (reason, source) = match self.config.detection.hang {
+            HangDetector::PcStall if in_handler => (Stall, LogMonitor),
+            // Algorithm 1 distinguishes the two liveness failures; so
+            // does the ladder.
+            HangDetector::PcStall => match self.watchdog.check(&mut self.transport) {
+                Liveness::Alive => return None,
+                Liveness::Stalled { .. } => (Stall, LogMonitor),
+                Liveness::ConnectionTimeout => (ConnectionLoss, LogMonitor),
+            },
+            // §6 extension: the current probe spots plateaus (spin
+            // loops) and idle draw (dead core) without touching the
+            // debug link.
+            HangDetector::PowerRail => {
+                let verdict = self.power_watchdog.check(&mut self.transport);
+                if !verdict.is_liveness_issue() {
+                    return None;
+                }
+                (Stall, LogMonitor)
+            }
+            // Timeout-only liveness: keep burning slices until the
+            // patience runs out.
+            HangDetector::Timeout { secs } => {
+                if self.transport.now() - start < secs_to_cycles(secs) {
+                    return None;
+                }
+                (Stall, DetectionSource::Timeout)
+            }
+        };
+        Some(Degraded::Hang { reason, source })
+    }
+
+    /// Leave the exec loop degraded: account the exit, collect what the
+    /// target left behind, and run one recovery episode. A hang drains
+    /// the coverage channel first (the exec's edges are real) and, when
+    /// nothing was filed yet, attributes a crash from the UART (a hang
+    /// parked in the handler keeps the exception monitor's report). The
+    /// slice cap and a lost target only drain the UART.
+    fn declare_degraded(
+        &mut self,
+        exit: Degraded,
+        prog: &Prog,
+        outcome: &mut ExecOutcome,
+        edges: &mut Vec<u64>,
+    ) {
+        outcome.stalled = true;
+        let reason = match exit {
+            Degraded::Hang { reason, source } => {
+                self.stall_events += 1;
+                edges.extend(self.harvest(false).0);
+                let hits = self.scan_uart();
+                if outcome.crash.is_none() {
+                    outcome.crash = self.attribute(&hits, source, prog);
+                }
+                reason
+            }
+            Degraded::SliceCap => {
+                self.stall_events += 1;
+                let _ = self.scan_uart();
+                RecoveryReason::Stall
+            }
+            Degraded::Lost => {
+                outcome.target_lost = true;
+                let _ = self.scan_uart();
+                RecoveryReason::ConnectionLoss
+            }
+        };
+        self.recover(reason);
+        outcome.restored = true;
+    }
+
     /// Execute one prog. This is the body of the fuzzing loop.
     pub fn run_one(&mut self, prog: &Prog) -> ExecOutcome {
         let span = tel::span_start("exec", self.transport.now());
@@ -606,16 +738,11 @@ impl Executor {
         let mut crashed_this_exec = false;
         let mut parked_hits = 0u32;
         let mut slices = 0u32;
-        loop {
+        let degraded = loop {
             slices += 1;
             if slices > MAX_SLICES {
                 // Pathologically long execution: treat as degraded.
-                self.stall_events += 1;
-                outcome.stalled = true;
-                let _ = self.scan_uart();
-                self.recover(RecoveryReason::Stall);
-                outcome.restored = true;
-                break;
+                break Some(Degraded::SliceCap);
             }
             // Transient link errors on the continue are retried at the
             // link layer (re-issuing a resume is idempotent); only a
@@ -627,11 +754,10 @@ impl Executor {
                 Ok(LinkEvent::BreakpointHit { pc }) if pc == self.main_addr => {
                     // Prog finished.
                     self.at_main = true;
-                    break;
+                    break None;
                 }
                 Ok(LinkEvent::BreakpointHit { pc }) if pc == self.buf_full_addr => {
                     all_edges.extend(self.harvest(false).0);
-                    continue;
                 }
                 Ok(LinkEvent::BreakpointHit { pc })
                     if Some(pc) == self.exception_addr && !crashed_this_exec =>
@@ -656,155 +782,35 @@ impl Executor {
                     all_edges.extend(self.harvest(false).0);
                     let report = self.crash_from_banner(DetectionSource::ExceptionMonitor, prog);
                     outcome.crash = Some(report);
-                    continue;
                 }
                 Ok(LinkEvent::BreakpointHit { pc }) if Some(pc) == self.exception_addr => {
                     // Still parked in the handler after reporting. A
                     // recoverable fault walks out within a couple of
-                    // resumes; a hanging one never does — apply the
-                    // configured liveness channel to decide how fast the
-                    // campaign notices.
+                    // resumes; a hanging one never does — the hang
+                    // detector decides how fast the campaign notices.
                     parked_hits += 1;
-                    if parked_hits < 3 {
-                        continue;
+                    if parked_hits >= 3 {
+                        if let Some(exit) = self.hang_verdict(start, true) {
+                            break Some(exit);
+                        }
                     }
-                    let declare = if self.config.recovery.stall_watchdog {
-                        // Algorithm 1's PC check: the PC has provably not
-                        // left the handler across three resumes.
-                        true
-                    } else if self.config.recovery.power_liveness {
-                        self.power_watchdog
-                            .check(&mut self.transport)
-                            .is_liveness_issue()
-                    } else if let Some(secs) = self.config.detection.timeout_only_secs {
-                        self.transport.now() - start >= secs_to_cycles(secs)
-                    } else {
-                        false
-                    };
-                    if declare {
-                        self.stall_events += 1;
-                        outcome.stalled = true;
-                        all_edges.extend(self.harvest(false).0);
-                        let _ = self.scan_uart();
-                        self.recover(RecoveryReason::Stall);
-                        outcome.restored = true;
-                        break;
-                    }
-                    continue;
                 }
-                Ok(LinkEvent::BreakpointHit { .. }) => continue,
+                Ok(LinkEvent::BreakpointHit { .. }) => {}
                 Ok(LinkEvent::WatchdogReset) => {
                     outcome.stalled = true;
                     self.at_main = false;
-                    break;
+                    break None;
                 }
                 Ok(LinkEvent::StillRunning) => {
-                    if self.config.recovery.power_liveness && !self.config.recovery.stall_watchdog {
-                        // §6 extension: the current probe spots plateaus
-                        // (spin loops) and idle draw (dead core) without
-                        // touching the debug link.
-                        if self
-                            .power_watchdog
-                            .check(&mut self.transport)
-                            .is_liveness_issue()
-                        {
-                            self.stall_events += 1;
-                            outcome.stalled = true;
-                            let hits = self.scan_uart();
-                            if self.config.detection.log_monitor {
-                                if let Some(hit) = hits.first() {
-                                    let mut report =
-                                        self.crash_from_banner(DetectionSource::LogMonitor, prog);
-                                    report.message = hit.line.clone();
-                                    report.bug =
-                                        triage(self.config.os, &hit.line, &report.backtrace)
-                                            .or(report.bug);
-                                    outcome.crash = Some(report);
-                                }
-                            }
-                            self.recover(RecoveryReason::Stall);
-                            outcome.restored = true;
-                            break;
-                        }
-                        continue;
-                    }
-                    if self.config.recovery.stall_watchdog {
-                        match self.watchdog.check(&mut self.transport) {
-                            Liveness::Alive => continue,
-                            verdict @ (Liveness::Stalled { .. } | Liveness::ConnectionTimeout) => {
-                                self.stall_events += 1;
-                                outcome.stalled = true;
-                                all_edges.extend(self.harvest(false).0);
-                                let hits = self.scan_uart();
-                                if self.config.detection.log_monitor {
-                                    if let Some(hit) = hits.first() {
-                                        let mut report = self
-                                            .crash_from_banner(DetectionSource::LogMonitor, prog);
-                                        report.message = hit.line.clone();
-                                        report.bug =
-                                            triage(self.config.os, &hit.line, &report.backtrace)
-                                                .or(report.bug);
-                                        outcome.crash = Some(report);
-                                    }
-                                }
-                                // Algorithm 1 distinguishes the two
-                                // liveness failures; so does the ladder.
-                                let reason = match verdict {
-                                    Liveness::ConnectionTimeout => RecoveryReason::ConnectionLoss,
-                                    _ => RecoveryReason::Stall,
-                                };
-                                self.recover(reason);
-                                outcome.restored = true;
-                                break;
-                            }
-                        }
-                    } else if let Some(secs) = self.config.detection.timeout_only_secs {
-                        // Timeout-only liveness: keep burning slices until
-                        // the patience runs out.
-                        if self.transport.now() - start >= secs_to_cycles(secs) {
-                            self.stall_events += 1;
-                            outcome.stalled = true;
-                            all_edges.extend(self.harvest(false).0);
-                            // Offline triage of whatever the UART holds.
-                            let _ = self.scan_uart();
-                            let tail = self.log_monitor.tail().to_vec();
-                            let crash_line = tail.iter().rev().find(|l| {
-                                eof_monitors::PatternSet::default_crash_patterns()
-                                    .first_match(l)
-                                    .is_some()
-                            });
-                            if let Some(line) = crash_line {
-                                let backtrace = parse_backtrace(&tail);
-                                let bug = triage(self.config.os, line, &backtrace);
-                                outcome.crash = Some(CrashReport {
-                                    os: self.config.os,
-                                    message: line.clone(),
-                                    backtrace,
-                                    source: DetectionSource::Timeout,
-                                    prog: prog.clone(),
-                                    at_hours: self.now_hours(),
-                                    bug,
-                                });
-                            }
-                            self.recover(RecoveryReason::Stall);
-                            outcome.restored = true;
-                            break;
-                        }
-                        continue;
-                    } else {
-                        // No stall detection at all: rely on MAX_SLICES.
-                        continue;
+                    if let Some(exit) = self.hang_verdict(start, false) {
+                        break Some(exit);
                     }
                 }
-                Ok(LinkEvent::TargetDead) | Err(_) => {
-                    outcome.target_lost = true;
-                    outcome.stalled = true;
-                    let _ = self.scan_uart();
-                    self.recover(RecoveryReason::ConnectionLoss);
-                    outcome.restored = true;
-                    break;
-                }
+                Ok(LinkEvent::TargetDead) | Err(_) => break Some(Degraded::Lost),
             }
+        };
+        if let Some(exit) = degraded {
+            self.declare_degraded(exit, prog, &mut outcome, &mut all_edges);
         }
 
         // Final harvest (healthy completion path): the operand ring
@@ -819,13 +825,8 @@ impl Executor {
 
         // Log monitor on the healthy path too (non-hanging assert spam).
         let hits = self.scan_uart();
-        if self.config.detection.log_monitor && outcome.crash.is_none() {
-            if let Some(hit) = hits.first() {
-                let mut report = self.crash_from_banner(DetectionSource::LogMonitor, prog);
-                report.message = hit.line.clone();
-                report.bug = triage(self.config.os, &hit.line, &report.backtrace).or(report.bug);
-                outcome.crash = Some(report);
-            }
+        if outcome.crash.is_none() {
+            outcome.crash = self.attribute(&hits, DetectionSource::LogMonitor, prog);
         }
 
         let observed = self.observe(all_edges);
@@ -900,30 +901,18 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::cached_image;
+    use crate::campaign::boot_executor;
     use crate::config::{DetectionConfig, FuzzerConfig};
-    use eof_agent::{api_table_of, boot_machine};
-    use eof_dap::LinkConfig;
-    use eof_monitors::{parse_kconfig, render_kconfig};
-    use eof_rtos::image::build_image;
+    use eof_hal::FaultPlan;
     use eof_rtos::OsKind;
     use eof_speclang::prog::{ArgValue, Call};
 
     fn executor_for(config: FuzzerConfig) -> Executor {
         // What the campaign would flash: the plain build when the trace
         // backend is selected, the instrumented build otherwise.
-        let instrument = config.effective_instrument();
-        let image = build_image(config.os, config.profile, &instrument);
-        let machine = boot_machine(config.board.clone(), config.os, config.profile, &instrument);
-        let kconfig = parse_kconfig(&render_kconfig("arm", machine.flash().table())).unwrap();
-        let restoration = StateRestoration::from_kconfig(
-            &kconfig,
-            config.board.flash_size,
-            vec![("kernel".to_string(), image)],
-        )
-        .unwrap();
-        let transport = DebugTransport::attach(machine, LinkConfig::default());
-        let table = api_table_of(config.os);
-        Executor::new(transport, config, table, restoration).unwrap()
+        let image = cached_image(config.os, config.profile, &config.effective_instrument());
+        boot_executor(&config, &image, FaultPlan::none())
     }
 
     fn call(api: &str, args: Vec<ArgValue>) -> Call {
@@ -993,14 +982,7 @@ mod tests {
     fn hanging_bug_is_caught_by_log_monitor_and_restored() {
         let mut e = executor_for(FuzzerConfig::eof(OsKind::RtThread, 3));
         // Bug #8: assert + hang; detection class is the log monitor.
-        let prog = Prog {
-            mmio: vec![],
-            calls: vec![call(
-                "rt_object_init",
-                vec![ArgValue::Int(6), ArgValue::CString(String::new())],
-            )],
-        };
-        let out = e.run_one(&prog);
+        let out = e.run_one(&bug8_prog());
         let crash = out.crash.expect("crash detected");
         assert_eq!(crash.source, DetectionSource::LogMonitor);
         assert_eq!(crash.bug.map(|b| b.number()), Some(8));
@@ -1013,6 +995,108 @@ mod tests {
         });
         assert!(out2.crash.is_none(), "{:?}", out2.crash);
         assert!(e.restorations() >= 1);
+    }
+
+    /// Bug #8's reproducer: an assertion banner, then a hang inside the
+    /// call.
+    fn bug8_prog() -> Prog {
+        Prog {
+            mmio: vec![],
+            calls: vec![call(
+                "rt_object_init",
+                vec![ArgValue::Int(6), ArgValue::CString(String::new())],
+            )],
+        }
+    }
+
+    #[test]
+    fn hang_detectors_by_degraded_exit() {
+        use eof_hal::InjectedFault;
+        use DetectionSource::{ExceptionMonitor, LogMonitor, Timeout};
+        const DETECTORS: [HangDetector; 3] = [
+            HangDetector::PcStall,
+            HangDetector::PowerRail,
+            HangDetector::Timeout { secs: 10 },
+        ];
+        let bug4 = Prog {
+            mmio: vec![],
+            calls: vec![call(
+                "k_heap_init",
+                vec![ArgValue::Int(12), ArgValue::Int(7)],
+            )],
+        };
+        let healthy = Prog {
+            mmio: vec![],
+            calls: vec![call("json_parse", vec![ArgValue::Buffer(b"[1]".to_vec())])],
+        };
+        // Per exit, per detector (in `DETECTORS` order): target lost,
+        // stall events, and the crash filed as (source, bug number). The
+        // live detectors file bug #8 through the log monitor; a
+        // timeout-only tool triages the UART tail offline.
+        let hang_in_call = |source| (false, 1, Some((source, 8)));
+        let hang_in_handler = (false, 1, Some((ExceptionMonitor, 4)));
+        let killed = (true, 0, None);
+        let table = [
+            (
+                "hang inside a call",
+                OsKind::RtThread,
+                3,
+                bug8_prog(),
+                false,
+                [
+                    hang_in_call(LogMonitor),
+                    hang_in_call(LogMonitor),
+                    hang_in_call(Timeout),
+                ],
+            ),
+            // Under `Timeout` the parked resumes burn the slice cap
+            // before the patience runs out.
+            (
+                "hang parked in the handler",
+                OsKind::Zephyr,
+                5,
+                bug4,
+                false,
+                [hang_in_handler; 3],
+            ),
+            (
+                "killed core",
+                OsKind::FreeRtos,
+                33,
+                healthy,
+                true,
+                [killed; 3],
+            ),
+        ];
+        for (exit, os, seed, prog, kill_core, expected) in table {
+            let mut edges = Vec::new();
+            for (hang, (lost, stalls, crash)) in DETECTORS.into_iter().zip(expected) {
+                let mut cfg = FuzzerConfig::eof(os, seed);
+                cfg.detection.hang = hang;
+                let mut e = executor_for(cfg);
+                if kill_core {
+                    e.transport_mut()
+                        .machine_mut()
+                        .set_fault_plan(FaultPlan::none().at(10, InjectedFault::KillCore));
+                }
+                let out = e.run_one(&prog);
+                let ctx = format!("{exit} under {hang:?}");
+                assert!(out.stalled && out.restored, "{ctx}: {out:?}");
+                assert_eq!(out.target_lost, lost, "{ctx}");
+                assert_eq!(e.stall_events(), stalls, "{ctx}");
+                let filed = out
+                    .crash
+                    .as_ref()
+                    .map(|c| (c.source, c.bug.map(|b| b.number())));
+                assert_eq!(filed, crash.map(|(s, n)| (s, Some(n))), "{ctx}");
+                edges.push(out.edges_hit);
+            }
+            // Whatever noticed a hang, the edges the exec ran before it
+            // are real feedback: every detector drains them before the
+            // recovery wipes the ring.
+            assert!(edges.iter().all(|&n| n == edges[0]), "{exit}: {edges:?}");
+            assert_eq!(edges[0] > 0, !kill_core, "{exit}: {edges:?}");
+        }
     }
 
     #[test]

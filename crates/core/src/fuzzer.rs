@@ -341,35 +341,17 @@ impl Fuzzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::cached_image;
+    use crate::campaign::boot_executor;
     use crate::config::GenerationMode;
-    use crate::executor::Executor;
-    use eof_agent::{api_table_of, boot_machine};
-    use eof_dap::{DebugTransport, LinkConfig};
-    use eof_monitors::{parse_kconfig, render_kconfig, StateRestoration};
-    use eof_rtos::image::build_image;
+    use eof_hal::FaultPlan;
     use eof_rtos::OsKind;
     use eof_specgen::extract_spec_text;
     use eof_speclang::parser::parse_spec;
 
     fn fuzzer_for(config: FuzzerConfig) -> Fuzzer {
-        let instrument = config.effective_instrument();
-        let image = build_image(config.os, config.profile, &instrument);
-        let machine = boot_machine(config.board.clone(), config.os, config.profile, &instrument);
-        let kconfig = parse_kconfig(&render_kconfig("arm", machine.flash().table())).unwrap();
-        let restoration = StateRestoration::from_kconfig(
-            &kconfig,
-            config.board.flash_size,
-            vec![("kernel".to_string(), image)],
-        )
-        .unwrap();
-        let transport = DebugTransport::attach(machine, LinkConfig::default());
-        let executor = Executor::new(
-            transport,
-            config.clone(),
-            api_table_of(config.os),
-            restoration,
-        )
-        .unwrap();
+        let image = cached_image(config.os, config.profile, &config.effective_instrument());
+        let executor = boot_executor(&config, &image, FaultPlan::none());
         let spec = parse_spec(&extract_spec_text(config.os)).unwrap();
         let generator = Generator::new(spec, config.seed, config.gen_mode, config.max_calls);
         Fuzzer::new(config, generator, executor)

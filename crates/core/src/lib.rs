@@ -72,12 +72,13 @@ pub mod supervisor;
 
 pub use artifacts::{cache_stats, cached_image, cached_spec, reset_cache_stats, CacheStats};
 pub use campaign::{
-    build_fuzzer, run_campaign, run_campaign_recorded, run_campaign_recorded_with_faults,
-    run_campaign_with_coverage, run_campaign_with_faults, CampaignResult,
+    boot_executor, build_fuzzer, run_campaign, run_campaign_recorded,
+    run_campaign_recorded_with_faults, run_campaign_with_coverage, run_campaign_with_faults,
+    CampaignResult,
 };
 pub use chaos::{chaos_plan, run_chaos, ChaosConfig, ChaosReport};
 pub use cmplog::{CmpJournal, MutOp, OpScheduler};
-pub use config::{DetectionConfig, FuzzerConfig, GenerationMode, RecoveryConfig};
+pub use config::{DetectionConfig, FuzzerConfig, GenerationMode, HangDetector, RecoveryConfig};
 pub use corpus::{Corpus, Seed};
 pub use crash::{triage, CrashDb, CrashReport, DetectionSource};
 pub use executor::{ExecOutcome, Executor};

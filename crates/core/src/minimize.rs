@@ -115,41 +115,18 @@ fn minimize_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::cached_image;
+    use crate::campaign::boot_executor;
     use crate::config::FuzzerConfig;
-    use eof_agent::{api_table_of, boot_machine};
-    use eof_coverage::InstrumentMode;
-    use eof_dap::{DebugTransport, LinkConfig};
-    use eof_hal::BoardCatalog;
-    use eof_monitors::{parse_kconfig, render_kconfig, StateRestoration};
-    use eof_rtos::image::{build_image, ImageProfile};
+    use eof_hal::{BoardCatalog, FaultPlan};
     use eof_rtos::OsKind;
     use eof_speclang::prog::{ArgValue, Call};
 
     fn executor(os: OsKind) -> Executor {
-        let board = BoardCatalog::qemu_virt_arm();
         let mut config = FuzzerConfig::eof(os, 1);
-        config.board = board.clone();
-        let image = build_image(os, ImageProfile::FullSystem, &InstrumentMode::Full);
-        let machine = boot_machine(
-            board.clone(),
-            os,
-            ImageProfile::FullSystem,
-            &InstrumentMode::Full,
-        );
-        let kconfig = parse_kconfig(&render_kconfig("arm", machine.flash().table())).unwrap();
-        let restoration = StateRestoration::from_kconfig(
-            &kconfig,
-            board.flash_size,
-            vec![("kernel".into(), image)],
-        )
-        .unwrap();
-        Executor::new(
-            DebugTransport::attach(machine, LinkConfig::default()),
-            config,
-            api_table_of(os),
-            restoration,
-        )
-        .unwrap()
+        config.board = BoardCatalog::qemu_virt_arm();
+        let image = cached_image(os, config.profile, &config.effective_instrument());
+        boot_executor(&config, &image, FaultPlan::none())
     }
 
     fn call(api: &str, args: Vec<ArgValue>) -> Call {

@@ -25,7 +25,7 @@
 //! Layout: `<dir>/manifest.eof`, `<dir>/corpus/<hash>.seed`,
 //! `<dir>/crashes/<key-hash>.crash`, `<dir>/coverage`.
 
-use crate::config::FuzzerConfig;
+use crate::config::{FuzzerConfig, HangDetector};
 use crate::crash::{dedup_key, CrashReport, DetectionSource};
 use eof_coverage::CoverageKind;
 use eof_rtos::OsKind;
@@ -58,9 +58,20 @@ pub fn config_fingerprint(config: &FuzzerConfig) -> u64 {
 }
 
 fn config_canonical(config: &FuzzerConfig) -> String {
+    // The detector and recovery fields are spelled out in the layout
+    // their structs had before the hang detector became one enum, so
+    // every store keeps its fingerprint byte for byte.
+    let (detection, hang) = (&config.detection, config.detection.hang);
+    let timeout_secs = match hang {
+        HangDetector::Timeout { secs } => Some(secs),
+        HangDetector::PcStall | HangDetector::PowerRail => None,
+    };
     let mut canon = format!(
         "schema={SCHEMA_VERSION};os={};osver={};board={};seed={};covfb={};crashfb={};gen={:?};\
-         instr={:?};profile={:?};detect={:?};recover={:?};covfrac={:e};costmul={:e};maxcalls={};\
+         instr={:?};profile={:?};\
+         detect=DetectionConfig {{ exception_breakpoints: {}, log_monitor: {}, timeout_only_secs: {:?} }};\
+         recover=RecoveryConfig {{ stall_watchdog: {}, reflash: {}, power_liveness: {} }};\
+         covfrac={:e};costmul={:e};maxcalls={};\
          noise={:?};validation={};modules={:?};periph={};nopseudo={}",
         config.os.short(),
         config.os.version(),
@@ -71,8 +82,12 @@ fn config_canonical(config: &FuzzerConfig) -> String {
         config.gen_mode,
         config.instrument,
         config.profile,
-        config.detection,
-        config.recovery,
+        detection.exception_breakpoints,
+        detection.log_monitor,
+        timeout_secs,
+        hang == HangDetector::PcStall,
+        config.recovery.reflash,
+        hang == HangDetector::PowerRail,
         config.cov_observe_fraction,
         config.exec_cost_multiplier,
         config.max_calls,

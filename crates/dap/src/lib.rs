@@ -24,7 +24,7 @@
 //!   replay on a vectored link, per-op retry on a scalar one;
 //! * [`txn`] — [`Txn`]: the batch every consumer builds, shipped as one
 //!   link round trip with all-or-nothing semantics on a vectored link
-//!   (`EOF_VECTORED=0` selects the scalar link).
+//!   (`DebugTransport::set_vectored(false)` selects the scalar link).
 
 pub mod error;
 pub mod retry;
@@ -41,4 +41,4 @@ pub use rsp::{
 };
 pub use tap::{TapController, TapState};
 pub use transport::{DebugTransport, LinkConfig, LinkEvent};
-pub use txn::{cmplog_default, snapshot_default, vectored_default, Txn, TxnOp, TxnResult};
+pub use txn::{Txn, TxnOp, TxnResult};

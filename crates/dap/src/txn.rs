@@ -27,8 +27,6 @@
 //!   is applied: a bad address or an over-budget breakpoint refuses the
 //!   whole batch with the target untouched.
 
-use std::sync::OnceLock;
-
 /// Wire-descriptor bits per queued operation (command, address, length).
 pub const TXN_HEADER_BITS: u64 = 32;
 
@@ -37,45 +35,6 @@ pub const TXN_HEADER_BITS: u64 = 32;
 /// vectored batch streams its payload from the probe FIFO without
 /// per-word turnarounds, an 8× faster effective shift.
 pub const BLOCK_TCK_PER_CORE_CYCLE: u64 = 64;
-
-/// Process-wide default for the vectored-transaction knob: `EOF_VECTORED`
-/// unset or any value but `"0"` enables vectoring; `EOF_VECTORED=0`
-/// selects the scalar fallback path everywhere the default is consulted.
-pub fn vectored_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("EOF_VECTORED")
-            .map(|v| v != "0")
-            .unwrap_or(true)
-    })
-}
-
-/// Process-wide default for the snapshot/delta-restore knob:
-/// `EOF_SNAPSHOT` unset or any value but `"0"` enables the snapshot
-/// fast path; `EOF_SNAPSHOT=0` selects the reboot/reflash-only fallback
-/// everywhere the default is consulted.
-pub fn snapshot_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("EOF_SNAPSHOT")
-            .map(|v| v != "0")
-            .unwrap_or(true)
-    })
-}
-
-/// Process-wide default for the cmplog (Redqueen/I2S) knob: unlike the
-/// two above, this one defaults **off** — `EOF_CMPLOG` unset or `"0"`
-/// leaves campaigns byte-identical to pre-cmplog ones; any other value
-/// arms the comparison-operand channel everywhere the default is
-/// consulted.
-pub fn cmplog_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("EOF_CMPLOG")
-            .map(|v| v != "0")
-            .unwrap_or(false)
-    })
-}
 
 /// One queued debug operation inside a [`Txn`].
 #[derive(Debug, Clone, PartialEq, Eq)]

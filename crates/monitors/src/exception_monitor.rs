@@ -1,4 +1,4 @@
-//! The exception monitor: breakpoints at the OS's fault handlers.
+//! The exception monitor's host half: reading the crash banner back.
 //!
 //! "During fuzzing initialization, EOF also inserts breakpoints at
 //! various embedded OS-specific exception functions like
@@ -6,87 +6,12 @@
 //! Once the agent reaches these functions, the fuzzer captures the
 //! relevant crash information." (§4.5.2)
 //!
-//! The monitor arms one breakpoint on the exception symbol and one on
-//! the assertion symbol, classifies halt addresses, and recovers the
-//! symbolised backtrace from the crash banner the handler printed.
+//! The executor arms the handler breakpoint itself, in the same
+//! transaction as its sync points. What it captures once the handler
+//! halts is the banner the handler printed; this module recovers the
+//! symbolised backtrace from it.
 
 use crate::patterns::Pattern;
-use eof_dap::{DapError, DebugTransport};
-
-/// What kind of handler a halt address corresponds to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExceptionKind {
-    /// The OS's hard-fault / panic handler.
-    Exception,
-    /// The OS's assertion reporter.
-    Assertion,
-}
-
-/// An armed exception monitor for one target.
-#[derive(Debug, Clone)]
-pub struct ExceptionMonitor {
-    exception_addr: u32,
-    assert_addr: u32,
-    exceptions_seen: u64,
-    asserts_seen: u64,
-}
-
-impl ExceptionMonitor {
-    /// Resolve the handler symbols and install hardware breakpoints.
-    pub fn arm(
-        transport: &mut DebugTransport,
-        exception_symbol: &str,
-        assert_symbol: &str,
-    ) -> Result<Self, DapError> {
-        let exception_addr = transport
-            .symbol(exception_symbol)
-            .ok_or_else(|| DapError::Protocol(format!("no symbol {exception_symbol:?}")))?;
-        let assert_addr = transport
-            .symbol(assert_symbol)
-            .ok_or_else(|| DapError::Protocol(format!("no symbol {assert_symbol:?}")))?;
-        transport.set_breakpoint(exception_addr)?;
-        transport.set_breakpoint(assert_addr)?;
-        Ok(ExceptionMonitor {
-            exception_addr,
-            assert_addr,
-            exceptions_seen: 0,
-            asserts_seen: 0,
-        })
-    }
-
-    /// Classify a halt PC; counts sightings.
-    pub fn classify(&mut self, pc: u32) -> Option<ExceptionKind> {
-        if pc == self.exception_addr {
-            self.exceptions_seen += 1;
-            Some(ExceptionKind::Exception)
-        } else if pc == self.assert_addr {
-            self.asserts_seen += 1;
-            Some(ExceptionKind::Assertion)
-        } else {
-            None
-        }
-    }
-
-    /// Address of the exception handler breakpoint.
-    pub fn exception_addr(&self) -> u32 {
-        self.exception_addr
-    }
-
-    /// Address of the assertion breakpoint.
-    pub fn assert_addr(&self) -> u32 {
-        self.assert_addr
-    }
-
-    /// Exceptions observed so far.
-    pub fn exceptions_seen(&self) -> u64 {
-        self.exceptions_seen
-    }
-
-    /// Assertions observed so far.
-    pub fn asserts_seen(&self) -> u64 {
-        self.asserts_seen
-    }
-}
 
 /// Recover the symbolised backtrace from banner lines — the inverse of
 /// the agent's Figure-6-style `Level: N: frame` output. Returns frames
@@ -112,49 +37,6 @@ pub fn parse_backtrace(lines: &[String]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eof_agent::boot_machine;
-    use eof_coverage::InstrumentMode;
-    use eof_dap::LinkConfig;
-    use eof_hal::BoardCatalog;
-    use eof_rtos::image::ImageProfile;
-    use eof_rtos::OsKind;
-
-    fn transport(os: OsKind) -> DebugTransport {
-        let m = boot_machine(
-            BoardCatalog::qemu_virt_arm(),
-            os,
-            ImageProfile::FullSystem,
-            &InstrumentMode::None,
-        );
-        DebugTransport::attach(m, LinkConfig::default())
-    }
-
-    #[test]
-    fn arms_on_real_target_symbols() {
-        let mut t = transport(OsKind::RtThread);
-        let mon = ExceptionMonitor::arm(&mut t, "common_exception", "rt_assert_handler").unwrap();
-        assert_ne!(mon.exception_addr(), mon.assert_addr());
-        assert_eq!(t.machine().breakpoints().len(), 2);
-    }
-
-    #[test]
-    fn unknown_symbol_is_error() {
-        let mut t = transport(OsKind::Zephyr);
-        assert!(ExceptionMonitor::arm(&mut t, "not_a_symbol", "also_not").is_err());
-    }
-
-    #[test]
-    fn classification_counts() {
-        let mut t = transport(OsKind::Zephyr);
-        let mut mon = ExceptionMonitor::arm(&mut t, "z_fatal_error", "assert_post_action").unwrap();
-        let e = mon.exception_addr();
-        let a = mon.assert_addr();
-        assert_eq!(mon.classify(e), Some(ExceptionKind::Exception));
-        assert_eq!(mon.classify(a), Some(ExceptionKind::Assertion));
-        assert_eq!(mon.classify(0x1234), None);
-        assert_eq!(mon.exceptions_seen(), 1);
-        assert_eq!(mon.asserts_seen(), 1);
-    }
 
     #[test]
     fn backtrace_recovery_from_banner() {

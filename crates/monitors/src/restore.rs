@@ -8,7 +8,6 @@
 //! then reboots and waits the settle delay (`sleep(5s)`, line 19).
 
 use crate::kconfig::KConfig;
-use crate::watchdog::LivenessWatchdog;
 use eof_dap::{DapError, DebugTransport, Txn, TxnResult};
 use eof_hal::clock::secs_to_cycles;
 use eof_hal::flash::{fnv1a, sector_checksums_of, ERASED, SECTOR_SIZE};
@@ -44,7 +43,6 @@ pub struct StateRestoration {
     golden_sectors: Vec<Vec<u64>>,
     restorations: u64,
     reflashes: u64,
-    snapshot_mode: bool,
     /// Armed board snapshot: the parked state a delta restore returns to.
     snapshot: Option<Snapshot>,
     snapshot_captures: u64,
@@ -92,27 +90,11 @@ impl StateRestoration {
             golden_sectors,
             restorations: 0,
             reflashes: 0,
-            snapshot_mode: eof_dap::snapshot_default(),
             snapshot: None,
             snapshot_captures: 0,
             snapshot_restores: 0,
             golden_generation: None,
         })
-    }
-
-    /// Enable or disable the snapshot/delta-restore fast path. Campaigns
-    /// thread their `snapshot` knob here; disabling disarms any captured
-    /// snapshot.
-    pub fn set_snapshot_mode(&mut self, on: bool) {
-        self.snapshot_mode = on;
-        if !on {
-            self.snapshot = None;
-        }
-    }
-
-    /// Whether the snapshot fast path is enabled.
-    pub fn snapshot_mode(&self) -> bool {
-        self.snapshot_mode
     }
 
     /// Whether a snapshot is currently armed.
@@ -132,17 +114,14 @@ impl StateRestoration {
 
     /// Capture (re-arm) the board snapshot. The wire only carries the
     /// pages written since the previous capture or power-on — the charge
-    /// is proportional to the dirty-page count. No-op when snapshot mode
-    /// is off; returns whether a capture was performed.
-    pub fn capture_snapshot(&mut self, pipe: &mut DebugTransport) -> Result<bool, DapError> {
-        if !self.snapshot_mode {
-            return Ok(false);
-        }
+    /// is proportional to the dirty-page count. A campaign with its
+    /// snapshot knob off never calls this, so nothing is ever armed.
+    pub fn capture_snapshot(&mut self, pipe: &mut DebugTransport) -> Result<(), DapError> {
         let snap = pipe.capture_snapshot()?;
         self.snapshot = Some(snap);
         self.snapshot_captures += 1;
         tel::count("restore.snapshot.captures", 1);
-        Ok(true)
+        Ok(())
     }
 
     /// Whether the armed snapshot still belongs to the target's current
@@ -156,16 +135,13 @@ impl StateRestoration {
             .is_some_and(|s| s.boot_epoch() == pipe.machine().boot_epoch())
     }
 
-    /// Recovery-time validity probe: snapshot mode on, a snapshot armed
-    /// in the current boot epoch, and the flash generation counter read
-    /// back over the wire matching the capture — the suspicion rule. A
-    /// mutated flash (reflash, injected bit flip) or an unreachable
-    /// flash port reports not-ready and the ladder escalates to the
-    /// reflash rungs instead.
+    /// Recovery-time validity probe: a snapshot armed in the current
+    /// boot epoch, and the flash generation counter read back over the
+    /// wire matching the capture — the suspicion rule. Nothing armed
+    /// costs no wire op. A mutated flash (reflash, injected bit flip)
+    /// or an unreachable flash port reports not-ready and the ladder
+    /// escalates to the reflash rungs instead.
     pub fn snapshot_ready(&self, pipe: &mut DebugTransport) -> bool {
-        if !self.snapshot_mode {
-            return false;
-        }
         let Some(snap) = &self.snapshot else {
             return false;
         };
@@ -245,22 +221,6 @@ impl StateRestoration {
             .filter(|&(s, golden)| target.get(s) != Some(golden))
             .map(|(s, _)| (s as u32, self.golden_sector_bytes(i, s)))
             .collect()
-    }
-
-    /// Algorithm 1 lines 14–19: if the watchdog says the target is not
-    /// alive, reflash every partition, reboot and settle. Returns whether
-    /// a restoration was performed.
-    pub fn restore_if_needed(
-        &mut self,
-        watchdog: &mut LivenessWatchdog,
-        pipe: &mut DebugTransport,
-    ) -> Result<bool, DapError> {
-        if watchdog.check(pipe).is_alive() {
-            return Ok(false);
-        }
-        self.restore(pipe)?;
-        watchdog.reset();
-        Ok(true)
     }
 
     /// Cheap preflight before any reflash traffic: one read of the
@@ -440,6 +400,7 @@ impl StateRestoration {
 mod tests {
     use super::*;
     use crate::kconfig::{parse_kconfig, render_kconfig};
+    use crate::watchdog::LivenessWatchdog;
     use eof_agent::{agent_loader, boot_machine};
     use eof_coverage::InstrumentMode;
     use eof_dap::LinkConfig;
@@ -474,11 +435,14 @@ mod tests {
     #[test]
     fn healthy_target_is_left_alone() {
         let (mut resto, mut t) = setup();
-        let mut w = LivenessWatchdog::new();
         let _ = t.continue_until_halt(200);
-        let did = resto.restore_if_needed(&mut w, &mut t).unwrap();
-        assert!(!did);
-        assert_eq!(resto.restorations(), 0);
+        // An intact image passes the verify pass untouched: the
+        // restoration reboots but programs nothing.
+        resto.restore(&mut t).unwrap();
+        assert_eq!(resto.restorations(), 1);
+        assert_eq!(resto.reflashes(), 0);
+        let _ = t.continue_until_halt(200);
+        assert!(LivenessWatchdog::new().check(&mut t).is_alive());
     }
 
     #[test]
@@ -518,9 +482,9 @@ mod tests {
             .flip_bit(part.offset + 100, 1)
             .unwrap();
         t.reset_target().unwrap();
-        assert!(t.read_pc().is_err());
-        let mut w = LivenessWatchdog::new();
-        assert!(resto.restore_if_needed(&mut w, &mut t).unwrap());
+        assert!(!LivenessWatchdog::new().check(&mut t).is_alive());
+        resto.restore(&mut t).unwrap();
+        assert_eq!(resto.reflashes(), 1);
         assert!(t.read_pc().is_ok());
     }
 
@@ -604,7 +568,7 @@ mod tests {
     fn snapshot_capture_arms_and_restore_rewinds() {
         let (mut resto, mut t) = setup();
         let _ = t.continue_until_halt(200);
-        assert!(resto.capture_snapshot(&mut t).unwrap());
+        resto.capture_snapshot(&mut t).unwrap();
         assert!(resto.snapshot_armed());
         assert!(resto.snapshot_ready(&mut t));
 
@@ -647,15 +611,6 @@ mod tests {
         resto.capture_snapshot(&mut t).unwrap();
         assert!(resto.snapshot_ready(&mut t));
         assert_eq!(resto.snapshot_captures(), 2);
-    }
-
-    #[test]
-    fn snapshot_mode_off_never_arms() {
-        let (mut resto, mut t) = setup();
-        resto.set_snapshot_mode(false);
-        assert!(!resto.capture_snapshot(&mut t).unwrap());
-        assert!(!resto.snapshot_armed());
-        assert!(!resto.snapshot_ready(&mut t));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! 2. **PC stall** — if resuming execution does not change the program
 //!    counter, the core cannot make progress (lines 6–10).
 //!
-//! `check()` returns [`Liveness`]; anything but [`Liveness::Alive`]
-//! routes to [`crate::restore::StateRestoration`].
+//! `check()` returns [`Liveness`]; the caller decides what anything but
+//! [`Liveness::Alive`] triggers (in EOF, a recovery-supervisor episode
+//! that climbs the [`crate::restore::StateRestoration`] ladder).
 
 use eof_dap::DebugTransport;
 

@@ -440,7 +440,10 @@ mod tests {
         let (bytes, _) = b.trace.drain();
         let mut d = eof_coverage::TraceDecoder::new();
         let trace_edges = d.feed(&bytes);
-        assert_eq!(trace_edges, ring_edges, "both channels record every hit in order");
+        assert_eq!(
+            trace_edges, ring_edges,
+            "both channels record every hit in order"
+        );
     }
 
     #[test]

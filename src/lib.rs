@@ -22,7 +22,7 @@
 //! | [`speclang`] | the Syzlang-style specification language and prog wire format |
 //! | [`specgen`] | LLM-substitute spec extraction, noise model and validation gate |
 //! | [`coverage`] | SanCov-style edge instrumentation and host coverage maps |
-//! | [`monitors`] | log monitor, exception monitor, liveness watchdogs, state restoration |
+//! | [`monitors`] | log monitor, crash-banner backtraces, liveness watchdogs, state restoration |
 //! | [`core`] | the fuzzing engine: generation, corpus, executor, campaigns |
 //! | [`baselines`] | Tardis, Gustave, GDBFuzz and SHIFT as engine configurations |
 //!
@@ -55,7 +55,7 @@ pub use eof_speclang as speclang;
 pub mod prelude {
     pub use eof_agent::{agent_loader, api_table_of, boot_machine, AgentLayout};
     pub use eof_baselines::BaselineKind;
-    pub use eof_core::config::{DetectionConfig, GenerationMode, RecoveryConfig};
+    pub use eof_core::config::{DetectionConfig, GenerationMode, HangDetector, RecoveryConfig};
     pub use eof_core::report::write_campaign_report;
     pub use eof_core::{
         diff_against_serial, fabric_chaos_plan, fabric_grid, run_fabric, run_serial,

@@ -2,37 +2,15 @@
 //! scheduled flash corruption, core lockups and hostile coverage-buffer
 //! state without host-side panics, and keep making progress afterwards.
 
+use eof::core::{boot_executor, cached_image};
 use eof::hal::{FaultPlan, InjectedFault};
 use eof::prelude::*;
 use eof::speclang::prog::{ArgValue, Call};
 
 fn harness(os: OsKind, plan: FaultPlan) -> Executor {
-    let board = eof::rtos::registry::default_board(os);
-    let mut config = FuzzerConfig::eof(os, 21);
-    config.board = board.clone();
-    let image = build_image(os, ImageProfile::FullSystem, &InstrumentMode::Full);
-    let mut machine = boot_machine(
-        board.clone(),
-        os,
-        ImageProfile::FullSystem,
-        &InstrumentMode::Full,
-    );
-    machine.set_fault_plan(plan);
-    let kconfig = eof::monitors::parse_kconfig(&eof::monitors::render_kconfig(
-        "arm",
-        machine.flash().table(),
-    ))
-    .unwrap();
-    let restoration =
-        StateRestoration::from_kconfig(&kconfig, board.flash_size, vec![("kernel".into(), image)])
-            .unwrap();
-    Executor::new(
-        DebugTransport::attach(machine, LinkConfig::default()),
-        config,
-        api_table_of(os),
-        restoration,
-    )
-    .unwrap()
+    let config = FuzzerConfig::eof(os, 21);
+    let image = cached_image(os, config.profile, &config.effective_instrument());
+    boot_executor(&config, &image, plan)
 }
 
 fn probe(os: OsKind) -> Prog {

@@ -3,36 +3,16 @@
 //! synthesised for its resource parameters. Nothing may panic on the
 //! host, and the target must stay drivable afterwards.
 
+use eof::core::{boot_executor, cached_image};
+use eof::hal::FaultPlan;
 use eof::prelude::*;
 use eof::rtos::api::ArgKind;
 use eof::speclang::prog::{ArgValue, Call};
 
 fn executor(os: OsKind) -> Executor {
-    let board = eof::rtos::registry::default_board(os);
-    let mut config = FuzzerConfig::eof(os, 2);
-    config.board = board.clone();
-    let image = build_image(os, ImageProfile::FullSystem, &InstrumentMode::Full);
-    let machine = boot_machine(
-        board.clone(),
-        os,
-        ImageProfile::FullSystem,
-        &InstrumentMode::Full,
-    );
-    let kconfig = eof::monitors::parse_kconfig(&eof::monitors::render_kconfig(
-        "arm",
-        machine.flash().table(),
-    ))
-    .unwrap();
-    let restoration =
-        StateRestoration::from_kconfig(&kconfig, board.flash_size, vec![("kernel".into(), image)])
-            .unwrap();
-    Executor::new(
-        DebugTransport::attach(machine, LinkConfig::default()),
-        config,
-        api_table_of(os),
-        restoration,
-    )
-    .unwrap()
+    let config = FuzzerConfig::eof(os, 2);
+    let image = cached_image(os, config.profile, &config.effective_instrument());
+    boot_executor(&config, &image, FaultPlan::none())
 }
 
 /// A benign value for one parameter, producing prerequisite calls into

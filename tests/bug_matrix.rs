@@ -5,36 +5,17 @@
 //! hang behaviour).
 
 use eof::core::crash::DetectionSource;
+use eof::core::{boot_executor, cached_image};
+use eof::hal::FaultPlan;
 use eof::prelude::*;
 use eof::rtos::bugs::{DetectionClass, BUG_TABLE};
 use eof::speclang::prog::{ArgValue, Call};
 
 fn executor(os: OsKind) -> Executor {
-    let board = BoardCatalog::qemu_virt_arm();
     let mut config = FuzzerConfig::eof(os, 1);
-    config.board = board.clone();
-    let image = build_image(os, ImageProfile::FullSystem, &InstrumentMode::Full);
-    let machine = boot_machine(
-        board.clone(),
-        os,
-        ImageProfile::FullSystem,
-        &InstrumentMode::Full,
-    );
-    let kconfig = eof::monitors::parse_kconfig(&eof::monitors::render_kconfig(
-        "arm",
-        machine.flash().table(),
-    ))
-    .unwrap();
-    let restoration =
-        StateRestoration::from_kconfig(&kconfig, board.flash_size, vec![("kernel".into(), image)])
-            .unwrap();
-    Executor::new(
-        DebugTransport::attach(machine, LinkConfig::default()),
-        config,
-        api_table_of(os),
-        restoration,
-    )
-    .unwrap()
+    config.board = BoardCatalog::qemu_virt_arm();
+    let image = cached_image(os, config.profile, &config.effective_instrument());
+    boot_executor(&config, &image, FaultPlan::none())
 }
 
 fn call(api: &str, args: Vec<ArgValue>) -> Call {

@@ -3,7 +3,7 @@
 //! monitor behaviour over the same link.
 
 use eof::dap::{decode_txn_reply, encode_txn, frame_packet, parse_packet};
-use eof::monitors::{ExceptionMonitor, Liveness, LivenessWatchdog};
+use eof::monitors::{Liveness, LivenessWatchdog};
 use eof::prelude::*;
 
 fn transport(os: OsKind) -> DebugTransport {
@@ -80,16 +80,6 @@ fn watchdog_sees_healthy_agent_as_alive() {
         assert_eq!(w.check(&mut t), Liveness::Alive);
     }
     assert_eq!(w.stalls(), 0);
-}
-
-#[test]
-fn exception_monitor_arms_on_every_os() {
-    for os in OsKind::ALL {
-        let kernel = eof::rtos::registry::make_kernel(os);
-        let mut t = transport(os);
-        let mon = ExceptionMonitor::arm(&mut t, kernel.exception_symbol(), kernel.assert_symbol());
-        assert!(mon.is_ok(), "{os}");
-    }
 }
 
 #[test]
