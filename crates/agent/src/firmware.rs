@@ -13,8 +13,8 @@ use eof_hal::{Bus, FaultKind, Firmware, StepResult, SymbolTable};
 use eof_rtos::api::{InvokeResult, KArg, KernelFault};
 use eof_rtos::ctx::{CovState, ExecCtx};
 use eof_rtos::kernel::Kernel;
-use eof_speclang::prog::{ArgValue, Prog};
-use eof_speclang::wire::{decode_prog, ApiTable, WireOrder};
+use eof_speclang::prog::ArgValue;
+use eof_speclang::wire::{decode_prog, WireOrder, WireProg};
 
 /// Where the agent currently is in its loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,10 +71,12 @@ pub struct AgentFirmware {
     cov: CovState,
     layout: AgentLayout,
     symbols: SymbolTable,
-    api_table: ApiTable,
+    /// Length of the kernel's API table. Ids are dense from 0, so this
+    /// is all the decoder needs to tell a bound id from an unbound one.
+    api_count: usize,
     order: WireOrder,
     phase: Phase,
-    prog: Option<Prog>,
+    prog: Option<WireProg>,
     results: Vec<u64>,
     fault: Option<KernelFault>,
     stats: AgentStats,
@@ -102,23 +104,14 @@ impl AgentFirmware {
         order: WireOrder,
     ) -> Self {
         let symbols = layout.symbols(kernel.exception_symbol(), kernel.assert_symbol());
-        let api_table =
-            ApiTable::new(
-                kernel
-                    .api_table()
-                    .iter()
-                    .map(|d| eof_speclang::wire::ApiBinding {
-                        id: d.id,
-                        name: d.name.to_string(),
-                    }),
-            );
+        let api_count = kernel.api_table().len();
         let name = format!("{}-{}+agent", kernel.os().short(), kernel.os().version());
         AgentFirmware {
             kernel,
             cov,
             layout,
             symbols,
-            api_table,
+            api_count,
             order,
             phase: Phase::Boot { line: 0 },
             prog: None,
@@ -159,8 +152,8 @@ impl AgentFirmware {
         &self.layout
     }
 
-    /// Read the prog buffer from target RAM and decode it.
-    fn read_prog_from_ram(&mut self, bus: &mut Bus) -> Option<Prog> {
+    /// Read the prog buffer from target RAM and decode it, in place.
+    fn read_prog_from_ram(&self, bus: &Bus) -> Option<WireProg> {
         let len = bus
             .ram
             .read_u32(self.layout.prog_addr, bus.endianness)
@@ -171,22 +164,21 @@ impl AgentFirmware {
         let bytes = bus
             .ram
             .slice(self.layout.prog_addr + 4, len as usize)
-            .ok()?
-            .to_vec();
-        decode_prog(&bytes, &self.api_table, self.order).ok()
+            .ok()?;
+        decode_prog(bytes, self.api_count, self.order).ok()
     }
 
-    /// Resolve prog-level argument values into kernel arguments.
-    fn resolve_args(&self, call: &eof_speclang::prog::Call) -> Vec<KArg> {
-        call.args
-            .iter()
+    /// Resolve a call's decoded arguments into kernel arguments. Each
+    /// call runs once, so its payloads move rather than copy.
+    fn resolve_args(results: &[u64], args: Vec<ArgValue>) -> Vec<KArg> {
+        args.into_iter()
             .map(|a| match a {
-                ArgValue::Int(v) => KArg::Int(*v),
+                ArgValue::Int(v) => KArg::Int(v),
                 ArgValue::ResourceRef(r) => {
-                    KArg::Int(self.results.get(*r as usize).copied().unwrap_or(u64::MAX))
+                    KArg::Int(results.get(r as usize).copied().unwrap_or(u64::MAX))
                 }
-                ArgValue::Buffer(b) => KArg::Bytes(b.clone()),
-                ArgValue::CString(s) => KArg::Str(s.clone()),
+                ArgValue::Buffer(b) => KArg::Bytes(b),
+                ArgValue::CString(s) => KArg::Str(s),
             })
             .collect()
     }
@@ -322,7 +314,7 @@ impl Firmware for AgentFirmware {
             }
             Phase::ReadProg => {
                 match self.read_prog_from_ram(bus) {
-                    Some(prog) if !prog.is_empty() => {
+                    Some(prog) if !prog.calls.is_empty() => {
                         // Consume the buffer: zero the length word so the
                         // same prog is not re-executed.
                         let _ = bus.ram.write_u32(self.layout.prog_addr, 0, bus.endianness);
@@ -371,7 +363,7 @@ impl Firmware for AgentFirmware {
                 }
             }
             Phase::ExecuteOne { call_idx } => {
-                let Some(prog) = self.prog.as_ref() else {
+                let Some(prog) = self.prog.as_mut() else {
                     self.phase = Phase::ExecutorMain;
                     return StepResult::Running {
                         pc: self.layout.pc_executor_main(),
@@ -388,9 +380,9 @@ impl Firmware for AgentFirmware {
                         cycles: 3,
                     };
                 }
-                let call = prog.calls[call_idx].clone();
-                let args = self.resolve_args(&call);
-                let api_id = self.api_table.id_of(&call.api).unwrap_or(u16::MAX);
+                let call = &mut prog.calls[call_idx];
+                let args = Self::resolve_args(&self.results, std::mem::take(&mut call.args));
+                let api_id = call.api;
                 let result = {
                     let mut ctx = ExecCtx::new(bus, &mut self.cov);
                     self.kernel.invoke(&mut ctx, api_id, &args)
@@ -561,13 +553,18 @@ mod tests {
     use eof_hal::Endianness;
     use eof_rtos::registry::make_kernel;
     use eof_rtos::OsKind;
-    use eof_speclang::prog::Call;
+    use eof_speclang::prog::{Call, Prog};
     use eof_speclang::wire::encode_prog;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn setup(os: OsKind) -> (AgentFirmware, Bus) {
+        setup_kernel(make_kernel(os))
+    }
+
+    fn setup_kernel(kernel: Box<dyn Kernel>) -> (AgentFirmware, Bus) {
         let board = eof_hal::BoardCatalog::qemu_virt_arm();
         let layout = AgentLayout::for_board(&board);
-        let kernel = make_kernel(os);
         let cov = CovState::instrumented(InstrumentMode::Full, layout.cov);
         let mut bus = Bus::new(board.ram_base, board.ram_size, Endianness::Little);
         let mut fw = AgentFirmware::new(kernel, cov, layout, WireOrder::Little);
@@ -576,11 +573,50 @@ mod tests {
     }
 
     fn write_prog(fw: &AgentFirmware, bus: &mut Bus, prog: &Prog) {
-        let bytes = encode_prog(prog, &fw.api_table, WireOrder::Little).unwrap();
+        let table = crate::loader::api_table_of(fw.kernel.os());
+        let bytes = encode_prog(prog, &table, WireOrder::Little).unwrap();
+        write_bytes(fw, bus, &bytes);
+    }
+
+    fn write_bytes(fw: &AgentFirmware, bus: &mut Bus, bytes: &[u8]) {
         bus.ram
             .write_u32(fw.layout.prog_addr, bytes.len() as u32, bus.endianness)
             .unwrap();
-        bus.ram.write(fw.layout.prog_addr + 4, &bytes).unwrap();
+        bus.ram.write(fw.layout.prog_addr + 4, bytes).unwrap();
+    }
+
+    /// A kernel that counts its resets, delegating everything else.
+    struct CountingKernel {
+        inner: Box<dyn Kernel>,
+        resets: Arc<AtomicUsize>,
+    }
+
+    impl Kernel for CountingKernel {
+        fn os(&self) -> OsKind {
+            self.inner.os()
+        }
+        fn api_table(&self) -> &[eof_rtos::ApiDescriptor] {
+            self.inner.api_table()
+        }
+        fn invoke(&mut self, ctx: &mut ExecCtx<'_>, api_id: u16, args: &[KArg]) -> InvokeResult {
+            self.inner.invoke(ctx, api_id, args)
+        }
+        fn reset(&mut self, ctx: &mut ExecCtx<'_>) {
+            self.resets.fetch_add(1, Ordering::Relaxed);
+            self.inner.reset(ctx)
+        }
+        fn exception_symbol(&self) -> &'static str {
+            self.inner.exception_symbol()
+        }
+        fn assert_symbol(&self) -> &'static str {
+            self.inner.assert_symbol()
+        }
+        fn total_branch_sites(&self) -> usize {
+            self.inner.total_branch_sites()
+        }
+        fn boot_banner(&self) -> Vec<String> {
+            self.inner.boot_banner()
+        }
     }
 
     fn run_steps(fw: &mut AgentFirmware, bus: &mut Bus, n: usize) -> Vec<StepResult> {
@@ -719,17 +755,29 @@ mod tests {
 
     #[test]
     fn garbage_prog_counts_decode_failure() {
-        let (mut fw, mut bus) = setup(OsKind::Zephyr);
-        run_steps(&mut fw, &mut bus, 6);
-        bus.ram
-            .write_u32(fw.layout.prog_addr, 16, bus.endianness)
-            .unwrap();
-        bus.ram
-            .write(fw.layout.prog_addr + 4, b"NOT A VALID PROG")
-            .unwrap();
-        run_steps(&mut fw, &mut bus, 6);
-        assert_eq!(fw.stats().decode_failures, 1);
-        assert_eq!(fw.stats().execs, 0);
+        // A bad magic, and a well-formed prog naming the first id past
+        // the API table: each is one decode failure that executes
+        // nothing and never reinitialises the kernel.
+        let api_count = make_kernel(OsKind::Zephyr).api_table().len() as u16;
+        let mut unbound = b"EOFP\x01\x01".to_vec();
+        unbound.extend_from_slice(&api_count.to_le_bytes());
+        unbound.push(0);
+        let inputs: [&[u8]; 2] = [b"NOT A VALID PROG", &unbound];
+        for (i, input) in inputs.into_iter().enumerate() {
+            let resets = Arc::new(AtomicUsize::new(0));
+            let (mut fw, mut bus) = setup_kernel(Box::new(CountingKernel {
+                inner: make_kernel(OsKind::Zephyr),
+                resets: Arc::clone(&resets),
+            }));
+            run_steps(&mut fw, &mut bus, 6);
+            let booted = resets.load(Ordering::Relaxed);
+            write_bytes(&fw, &mut bus, input);
+            run_steps(&mut fw, &mut bus, 6);
+            assert_eq!(fw.stats().decode_failures, 1, "input {i}");
+            assert_eq!(fw.stats().execs, 0, "input {i}");
+            assert_eq!(fw.stats().calls, 0, "input {i}");
+            assert_eq!(resets.load(Ordering::Relaxed), booted, "input {i}");
+        }
     }
 
     #[test]

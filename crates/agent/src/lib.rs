@@ -15,10 +15,11 @@
 //! The host writes a prog (length-prefixed wire bytes) into the agent's
 //! RAM buffer over the debug port, resumes the target, and the agent
 //! decodes it "using only primitive operations" — the decode here is
-//! byte slicing and integer assembly straight out of target RAM. Faults
-//! raised by the kernel route execution to the OS's exception (or
-//! assertion) symbol, where the exception monitor's breakpoint catches
-//! them; hanging faults stall the PC, feeding the stall watchdog.
+//! byte slicing and integer assembly straight out of target RAM, into
+//! the API ids the kernel dispatches on. Faults raised by the kernel
+//! route execution to the OS's exception (or assertion) symbol, where
+//! the exception monitor's breakpoint catches them; hanging faults stall
+//! the PC, feeding the stall watchdog.
 
 pub mod firmware;
 pub mod layout;

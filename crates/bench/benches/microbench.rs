@@ -28,8 +28,9 @@ fn bench_wire(c: &mut Criterion) {
     c.bench_function("wire/encode_prog", |b| {
         b.iter(|| encode_prog(black_box(&prog), &table, WireOrder::Little).unwrap())
     });
+    // The agent's decoder: id form, bound-checked against the table length.
     c.bench_function("wire/decode_prog", |b| {
-        b.iter(|| decode_prog(black_box(&bytes), &table, WireOrder::Little).unwrap())
+        b.iter(|| decode_prog(black_box(&bytes), table.len(), WireOrder::Little).unwrap())
     });
 }
 
@@ -42,9 +43,12 @@ fn bench_generator(c: &mut Criterion) {
 }
 
 fn bench_kernel_dispatch(c: &mut Criterion) {
-    let mut kernel = make_kernel(OsKind::Zephyr);
     let mut bus = Bus::new(0x4000_0000, 0x2_0000, Endianness::Little);
     let mut cov = CovState::uninstrumented();
+    // Zephyr k_sem_init / k_sem_take / k_sem_give. No reset between
+    // iterations: k_sem_init appends to an unbounded table, so every
+    // iteration runs the same path on a fresh semaphore.
+    let mut kernel = make_kernel(OsKind::Zephyr);
     c.bench_function("kernel/invoke_sem_cycle", |b| {
         b.iter(|| {
             let mut ctx = ExecCtx::new(&mut bus, &mut cov);
@@ -54,10 +58,16 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
             };
             kernel.invoke(&mut ctx, 15, &[KArg::Int(s)]);
             kernel.invoke(&mut ctx, 16, &[KArg::Int(s)]);
-            let mut ctx2 = ExecCtx::new(&mut bus, &mut cov);
-            kernel.reset(&mut ctx2);
         })
     });
+    // The per-test-case reinitialisation the agent runs before every
+    // prog.
+    for os in OsKind::ALL {
+        let mut kernel = make_kernel(os);
+        c.bench_function(&format!("kernel/reset/{}", os.short()), |b| {
+            b.iter(|| kernel.reset(&mut ExecCtx::new(&mut bus, &mut cov)))
+        });
+    }
 }
 
 fn bench_parsers(c: &mut Criterion) {

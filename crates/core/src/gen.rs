@@ -18,6 +18,7 @@ use eof_speclang::prog::{ArgValue, Call, Prog};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Dictionary payloads for buffer parameters: well-formed and slightly
 /// broken JSON and HTTP fragments, so byte-level modules see structure.
@@ -57,7 +58,10 @@ const MMIO_MAX_LEN: usize = 48;
 
 /// The test-case generator for one target's specification.
 pub struct Generator {
-    spec: SpecFile,
+    /// Shared, so a generation step can hold an API's signature while
+    /// it draws values through `&mut self`: the step clones the `Arc`,
+    /// never the spec.
+    spec: Arc<SpecFile>,
     rng: StdRng,
     mode: GenerationMode,
     max_calls: usize,
@@ -82,7 +86,7 @@ impl Generator {
             .map(|(i, a)| (a.name.clone(), i))
             .collect();
         Generator {
-            spec,
+            spec: Arc::new(spec),
             rng: StdRng::seed_from_u64(seed),
             mode,
             max_calls: max_calls.max(1),
@@ -189,7 +193,8 @@ impl Generator {
         }
         for _ in 0..self.rng.random_range(1..=2usize) {
             let idx = self.rng.random_range(0..self.spec.apis.len());
-            let api = self.spec.apis[idx].clone();
+            let spec = Arc::clone(&self.spec);
+            let api = &spec.apis[idx];
             let args = api
                 .params
                 .iter()
@@ -259,13 +264,14 @@ impl Generator {
         if calls.len() >= self.max_calls * 2 || depth > 3 {
             return;
         }
-        let api = self.spec.apis[idx].clone();
+        let spec = Arc::clone(&self.spec);
+        let api = &spec.apis[idx];
         let mut args = Vec::with_capacity(api.params.len());
         for p in &api.params {
             args.push(self.gen_value(&p.ty, calls, depth));
         }
         calls.push(Call {
-            api: api.name,
+            api: api.name.clone(),
             args,
         });
     }
@@ -412,8 +418,8 @@ impl Generator {
             // Regenerate one argument value.
             0..=4 => {
                 let ci = self.rng.random_range(0..prog.calls.len());
-                let api = self.spec.api(&prog.calls[ci].api).cloned();
-                if let Some(api) = api {
+                let spec = Arc::clone(&self.spec);
+                if let Some(api) = spec.api(&prog.calls[ci].api) {
                     if !api.params.is_empty() && !prog.calls[ci].args.is_empty() {
                         let ai = self
                             .rng
@@ -447,7 +453,8 @@ impl Generator {
                 if prog.calls.len() < self.max_calls * 2 {
                     let pos = self.rng.random_range(0..=prog.calls.len());
                     let idx = self.rng.random_range(0..self.spec.apis.len().max(1));
-                    let api = self.spec.apis[idx].clone();
+                    let spec = Arc::clone(&self.spec);
+                    let api = &spec.apis[idx];
                     // Generate arguments against the prefix only, so the
                     // new call's references stay backward.
                     let mut prefix = prog.calls[..pos].to_vec();
@@ -462,7 +469,7 @@ impl Generator {
                         prog.insert_call(
                             pos,
                             Call {
-                                api: api.name,
+                                api: api.name.clone(),
                                 args,
                             },
                         );

@@ -97,12 +97,17 @@ impl CovState {
         self
     }
 
-    /// Whether a site in `module` carries a callback in this build.
-    pub fn module_active(&self, module: &str) -> bool {
+    /// Whether `site` (`"<os>::<module>::…"`) carries a callback in this
+    /// build. Only a module-confined build reads the site's module; the
+    /// per-hit cost under `Full` and `None` is one match.
+    pub(crate) fn site_active(&self, site: &str) -> bool {
         match &self.mode {
             InstrumentMode::None => false,
             InstrumentMode::Full => true,
-            InstrumentMode::Modules(mods) => mods.iter().any(|m| m == module),
+            InstrumentMode::Modules(mods) => {
+                let module = site.split("::").nth(1).unwrap_or("");
+                mods.iter().any(|m| m == module)
+            }
         }
     }
 }
@@ -156,8 +161,7 @@ impl<'a> ExecCtx<'a> {
         // is the silicon's job, not the image's — and at zero core
         // cycles: the packet engine runs in the debug power domain.
         self.bus.trace.emit(id, indirect);
-        let module = site.split("::").nth(1).unwrap_or("");
-        if !self.cov.module_active(module) {
+        if !self.cov.site_active(site) {
             return;
         }
         self.cov.hits += 1;
@@ -180,8 +184,7 @@ impl<'a> ExecCtx<'a> {
     /// ring laid out but nobody listening costs zero cycles, and the
     /// `EOF_CMPLOG=0` campaign is bit-identical to a pre-cmplog one.
     pub fn cmp(&mut self, site: &'static str, width: u32, lhs: u64, rhs: u64) {
-        let module = site.split("::").nth(1).unwrap_or("");
-        if !self.cov.module_active(module) {
+        if !self.cov.site_active(site) {
             return;
         }
         let Some(region) = self.cov.cmp_region else {

@@ -18,6 +18,7 @@ use crate::subsys::json;
 use crate::subsys::sched::{Policy, SchedError, Scheduler};
 use crate::subsys::timer::{TimerError, TimerMode, TimerWheel};
 use eof_hal::FaultKind;
+use std::sync::LazyLock;
 
 const TIMER_MODES: &[(&str, u64)] = &[("ONE_SHOT", 0), ("AUTO_RELOAD", 1)];
 const SPI_FLAGS: &[(&str, u64)] = &[
@@ -44,7 +45,6 @@ const PART_FLAGS: &[(&str, u64)] = &[
 
 /// The FreeRTOS model.
 pub struct FreeRtosKernel {
-    api: Vec<ApiDescriptor>,
     sched: Scheduler,
     heap: FreeListHeap,
     queues: Vec<Option<MsgQueue>>,
@@ -58,6 +58,10 @@ pub struct FreeRtosKernel {
     gpio_edges: u32,
 }
 
+/// The published API surface. It is the same for every boot, so it is
+/// built once per process, not on every (per-test-case) reset.
+static API: LazyLock<Vec<ApiDescriptor>> = LazyLock::new(FreeRtosKernel::build_api);
+
 impl Default for FreeRtosKernel {
     fn default() -> Self {
         Self::new()
@@ -68,7 +72,6 @@ impl FreeRtosKernel {
     /// A freshly booted FreeRTOS.
     pub fn new() -> Self {
         FreeRtosKernel {
-            api: Self::build_api(),
             sched: Scheduler::new(Policy::TickRoundRobin, 16, 31, 16, 128),
             heap: FreeListHeap::new(64 * 1024),
             queues: Vec::new(),
@@ -402,7 +405,7 @@ impl Kernel for FreeRtosKernel {
     }
 
     fn api_table(&self) -> &[ApiDescriptor] {
-        &self.api
+        &API
     }
 
     fn exception_symbol(&self) -> &'static str {
@@ -426,9 +429,7 @@ impl Kernel for FreeRtosKernel {
     }
 
     fn reset(&mut self, _ctx: &mut ExecCtx<'_>) {
-        let api = std::mem::take(&mut self.api);
-        *self = FreeRtosKernel::new();
-        self.api = api;
+        *self = Self::new();
     }
 
     fn invoke(&mut self, ctx: &mut ExecCtx<'_>, api_id: u16, args: &[KArg]) -> InvokeResult {

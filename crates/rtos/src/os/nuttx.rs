@@ -16,6 +16,7 @@ use crate::subsys::mq::{MqError, MqNamespace};
 use crate::subsys::sched::{Policy, Scheduler};
 use crate::subsys::timer::{TimerError, TimerMode, TimerWheel};
 use eof_hal::FaultKind;
+use std::sync::LazyLock;
 
 const CLOCK_IDS: &[(&str, u64)] = &[
     ("CLOCK_REALTIME", 0),
@@ -49,7 +50,6 @@ struct PosixTimer {
 
 /// The NuttX model.
 pub struct NuttxKernel {
-    api: Vec<ApiDescriptor>,
     sched: Scheduler,
     env: EnvSubsystem,
     mq: MqNamespace,
@@ -63,6 +63,10 @@ pub struct NuttxKernel {
     clock_was_set: bool,
 }
 
+/// The published API surface. It is the same for every boot, so it is
+/// built once per process, not on every (per-test-case) reset.
+static API: LazyLock<Vec<ApiDescriptor>> = LazyLock::new(NuttxKernel::build_api);
+
 impl Default for NuttxKernel {
     fn default() -> Self {
         Self::new()
@@ -73,7 +77,6 @@ impl NuttxKernel {
     /// A freshly booted NuttX.
     pub fn new() -> Self {
         NuttxKernel {
-            api: Self::build_api(),
             sched: Scheduler::new(Policy::Preemptive, 16, 31, 31, 256),
             env: EnvSubsystem::new(16),
             mq: MqNamespace::new(4),
@@ -404,7 +407,7 @@ impl Kernel for NuttxKernel {
     }
 
     fn api_table(&self) -> &[ApiDescriptor] {
-        &self.api
+        &API
     }
 
     fn exception_symbol(&self) -> &'static str {
@@ -427,9 +430,7 @@ impl Kernel for NuttxKernel {
     }
 
     fn reset(&mut self, _ctx: &mut ExecCtx<'_>) {
-        let api = std::mem::take(&mut self.api);
-        *self = NuttxKernel::new();
-        self.api = api;
+        *self = Self::new();
     }
 
     fn invoke(&mut self, ctx: &mut ExecCtx<'_>, api_id: u16, args: &[KArg]) -> InvokeResult {

@@ -12,6 +12,7 @@ use crate::ctx::ExecCtx;
 use crate::kernel::{Kernel, OsKind};
 use crate::os::{a_bytes, a_enum, a_int, a_res, arg_bytes, arg_int};
 use crate::subsys::ipc::{EventGroup, IpcError, MsgQueue, Semaphore};
+use std::sync::LazyLock;
 
 const PORT_DIRS: &[(&str, u64)] = &[("SOURCE", 0), ("DESTINATION", 1)];
 
@@ -60,7 +61,6 @@ struct Blackboard {
 
 /// The PoK model.
 pub struct PokKernel {
-    api: Vec<ApiDescriptor>,
     partitions: Vec<Partition>,
     ports: Vec<Port>,
     blackboards: Vec<Blackboard>,
@@ -69,6 +69,10 @@ pub struct PokKernel {
     sems: Vec<Semaphore>,
     major_frame: u64,
 }
+
+/// The published API surface. It is the same for every boot, so it is
+/// built once per process, not on every (per-test-case) reset.
+static API: LazyLock<Vec<ApiDescriptor>> = LazyLock::new(PokKernel::build_api);
 
 impl Default for PokKernel {
     fn default() -> Self {
@@ -80,7 +84,6 @@ impl PokKernel {
     /// A freshly booted PoK.
     pub fn new() -> Self {
         PokKernel {
-            api: Self::build_api(),
             partitions: Vec::new(),
             ports: Vec::new(),
             blackboards: Vec::new(),
@@ -342,7 +345,7 @@ impl Kernel for PokKernel {
     }
 
     fn api_table(&self) -> &[ApiDescriptor] {
-        &self.api
+        &API
     }
 
     fn exception_symbol(&self) -> &'static str {
@@ -362,9 +365,7 @@ impl Kernel for PokKernel {
     }
 
     fn reset(&mut self, _ctx: &mut ExecCtx<'_>) {
-        let api = std::mem::take(&mut self.api);
-        *self = PokKernel::new();
-        self.api = api;
+        *self = Self::new();
     }
 
     fn invoke(&mut self, ctx: &mut ExecCtx<'_>, api_id: u16, args: &[KArg]) -> InvokeResult {

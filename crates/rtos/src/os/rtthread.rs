@@ -21,6 +21,7 @@ use crate::subsys::sal::{SalError, SocketLayer};
 use crate::subsys::sched::{Policy, SchedError, Scheduler};
 use crate::subsys::serial::{SerialError, SerialFramework, FLAG_STREAM};
 use eof_hal::FaultKind;
+use std::sync::LazyLock;
 
 const OBJ_CLASSES: &[(&str, u64)] = &[
     ("RT_Object_Class_Thread", 1),
@@ -70,7 +71,6 @@ struct Smem {
 
 /// The RT-Thread model.
 pub struct RtThreadKernel {
-    api: Vec<ApiDescriptor>,
     objects: ObjectRegistry,
     sched: Scheduler,
     heap: FreeListHeap,
@@ -86,6 +86,10 @@ pub struct RtThreadKernel {
     dma_busy: bool,
 }
 
+/// The published API surface. It is the same for every boot, so it is
+/// built once per process, not on every (per-test-case) reset.
+static API: LazyLock<Vec<ApiDescriptor>> = LazyLock::new(RtThreadKernel::build_api);
+
 impl Default for RtThreadKernel {
     fn default() -> Self {
         Self::new()
@@ -96,7 +100,6 @@ impl RtThreadKernel {
     /// A freshly booted RT-Thread.
     pub fn new() -> Self {
         RtThreadKernel {
-            api: Self::build_api(),
             objects: ObjectRegistry::new(32),
             sched: Scheduler::new(Policy::TickRoundRobin, 16, 31, 15, 128),
             heap: FreeListHeap::new(64 * 1024),
@@ -511,7 +514,7 @@ impl Kernel for RtThreadKernel {
     }
 
     fn api_table(&self) -> &[ApiDescriptor] {
-        &self.api
+        &API
     }
 
     fn exception_symbol(&self) -> &'static str {
@@ -535,9 +538,7 @@ impl Kernel for RtThreadKernel {
     }
 
     fn reset(&mut self, _ctx: &mut ExecCtx<'_>) {
-        let api = std::mem::take(&mut self.api);
-        *self = RtThreadKernel::new();
-        self.api = api;
+        *self = Self::new();
     }
 
     fn invoke(&mut self, ctx: &mut ExecCtx<'_>, api_id: u16, args: &[KArg]) -> InvokeResult {

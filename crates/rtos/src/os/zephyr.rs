@@ -16,6 +16,7 @@ use crate::subsys::ipc::{IpcError, MsgQueue, Semaphore};
 use crate::subsys::json;
 use crate::subsys::sched::{Policy, SchedError, Scheduler};
 use eof_hal::FaultKind;
+use std::sync::LazyLock;
 
 /// Zephyr's K_FOREVER timeout encoding (all-ones).
 pub const K_FOREVER: u64 = u64::MAX;
@@ -43,7 +44,6 @@ struct KHeap {
 
 /// The Zephyr model.
 pub struct ZephyrKernel {
-    api: Vec<ApiDescriptor>,
     sched: Scheduler,
     msgqs: Vec<MsgQueue>,
     kheaps: Vec<KHeap>,
@@ -51,6 +51,10 @@ pub struct ZephyrKernel {
     /// Live allocation count across all kheaps (bug #1's gate).
     live_allocs: u32,
 }
+
+/// The published API surface. It is the same for every boot, so it is
+/// built once per process, not on every (per-test-case) reset.
+static API: LazyLock<Vec<ApiDescriptor>> = LazyLock::new(ZephyrKernel::build_api);
 
 impl Default for ZephyrKernel {
     fn default() -> Self {
@@ -62,7 +66,6 @@ impl ZephyrKernel {
     /// A freshly booted Zephyr.
     pub fn new() -> Self {
         ZephyrKernel {
-            api: Self::build_api(),
             sched: Scheduler::new(Policy::Preemptive, 16, 15, 32, 256),
             msgqs: Vec::new(),
             kheaps: Vec::new(),
@@ -339,7 +342,7 @@ impl Kernel for ZephyrKernel {
     }
 
     fn api_table(&self) -> &[ApiDescriptor] {
-        &self.api
+        &API
     }
 
     fn exception_symbol(&self) -> &'static str {
@@ -362,9 +365,7 @@ impl Kernel for ZephyrKernel {
     }
 
     fn reset(&mut self, _ctx: &mut ExecCtx<'_>) {
-        let api = std::mem::take(&mut self.api);
-        *self = ZephyrKernel::new();
-        self.api = api;
+        *self = Self::new();
     }
 
     fn invoke(&mut self, ctx: &mut ExecCtx<'_>, api_id: u16, args: &[KArg]) -> InvokeResult {

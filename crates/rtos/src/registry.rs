@@ -118,6 +118,70 @@ mod tests {
         }
     }
 
+    /// One fixed call sequence over the whole API surface: every API
+    /// once, in id order (`variant` 0) or reversed (`variant` 1), with
+    /// small in-range arguments. Returns what the target can observe:
+    /// each result, the bus clock, the UART bytes and the coverage hits.
+    fn observe_sequence(
+        k: &mut dyn Kernel,
+        bus: &mut eof_hal::Bus,
+        variant: u64,
+    ) -> (Vec<crate::api::InvokeResult>, u64, Vec<u8>, u64) {
+        use crate::api::{ArgKind, KArg};
+        let region = eof_coverage::CovRegion::new(0x2000_8000, 1024);
+        region.init(&mut bus.ram, bus.endianness).unwrap();
+        let mut cov =
+            crate::ctx::CovState::instrumented(eof_coverage::InstrumentMode::Full, region);
+        let mut ids: Vec<u16> = k.api_table().iter().map(|d| d.id).collect();
+        if variant == 1 {
+            ids.reverse();
+        }
+        let mut results = Vec::new();
+        for id in ids {
+            let args: Vec<KArg> = k.api_table()[id as usize]
+                .args
+                .iter()
+                .map(|a| match &a.kind {
+                    ArgKind::Int { min, max, .. } => {
+                        KArg::Int(min.saturating_add(variant).min(*max))
+                    }
+                    ArgKind::Enum { values, .. } => KArg::Int(values[0].1),
+                    ArgKind::Str { .. } => KArg::Str("t0".into()),
+                    ArgKind::Bytes { .. } => KArg::Bytes(br#"{"a":[1]}"#.to_vec()),
+                    ArgKind::ResourceIn(_) => KArg::Int(variant),
+                })
+                .collect();
+            let mut ctx = crate::ctx::ExecCtx::new(bus, &mut cov);
+            results.push(k.invoke(&mut ctx, id, &args));
+            // Keep the ring from filling; only the hit count matters.
+            cov.buffer_full = false;
+            region.reset(&mut bus.ram, bus.endianness).unwrap();
+        }
+        (results, bus.now(), bus.uart.drain(), cov.hits)
+    }
+
+    fn test_bus() -> eof_hal::Bus {
+        eof_hal::Bus::new(0x2000_0000, 0x1_0000, eof_hal::Endianness::Little)
+    }
+
+    #[test]
+    fn reset_kernel_runs_like_a_fresh_one() {
+        for os in OsKind::ALL {
+            let mut used = make_kernel(os);
+            let dirtied = observe_sequence(&mut *used, &mut test_bus(), 0);
+            assert!(dirtied.3 > 0, "{os}: the first sequence ran nothing");
+            let mut bus = test_bus();
+            let mut cov = crate::ctx::CovState::uninstrumented();
+            used.reset(&mut crate::ctx::ExecCtx::new(&mut bus, &mut cov));
+            let after_reset = observe_sequence(&mut *used, &mut bus, 1);
+            let fresh = observe_sequence(&mut *make_kernel(os), &mut test_bus(), 1);
+            assert_eq!(
+                after_reset, fresh,
+                "{os}: a reset kernel diverged from a fresh one"
+            );
+        }
+    }
+
     #[test]
     fn table1_cells() {
         // EOF supports FreeRTOS on ARM and RISC-V (and Xtensa boards).

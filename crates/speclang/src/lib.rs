@@ -36,4 +36,6 @@ pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::{parse_spec, ParseError};
 pub use prog::{ArgValue, Call, Prog};
 pub use typecheck::{typecheck, TypeError};
-pub use wire::{decode_prog, encode_prog, ApiBinding, ApiTable, WireError, PROG_MAGIC};
+pub use wire::{
+    decode_prog, encode_prog, ApiBinding, ApiTable, WireCall, WireError, WireProg, PROG_MAGIC,
+};

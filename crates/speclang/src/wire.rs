@@ -26,6 +26,12 @@
 //! The trailer is strictly additive: pure-API progs encode byte-for-byte
 //! as they always have, and decoders ignore trailing bytes that do not
 //! start with the trailer tag (the historical contract).
+//!
+//! The host encodes by API *name* ([`encode_prog`] resolves each through
+//! an [`ApiTable`]); the agent decodes to API *ids* ([`decode_prog`]
+//! yields a [`WireProg`]) and dispatches on them, so no name exists on
+//! the target. Host-side tooling that wants the named form back derives
+//! it from the same decoder ([`ApiTable::decode`]).
 
 use crate::prog::{ArgValue, Call, Prog, MMIO_TRAILER};
 use std::collections::BTreeMap;
@@ -127,6 +133,53 @@ impl ApiTable {
     pub fn iter(&self) -> impl Iterator<Item = (u16, &str)> {
         self.by_id.iter().map(|(&id, n)| (id, n.as_str()))
     }
+
+    /// Decode wire bytes back into a named prog: the agent's decoder,
+    /// then each id named through this table (an id the table does not
+    /// bind is [`WireError::UnknownApiId`]).
+    pub fn decode(&self, bytes: &[u8], order: WireOrder) -> Result<Prog, WireError> {
+        let id_limit = self
+            .by_id
+            .keys()
+            .next_back()
+            .map_or(0, |&id| id as usize + 1);
+        let wire = decode_prog(bytes, id_limit, order)?;
+        let calls = wire
+            .calls
+            .into_iter()
+            .map(|c| {
+                let name = self.name_of(c.api).ok_or(WireError::UnknownApiId(c.api))?;
+                Ok(Call {
+                    api: name.to_string(),
+                    args: c.args,
+                })
+            })
+            .collect::<Result<_, WireError>>()?;
+        Ok(Prog {
+            calls,
+            mmio: wire.mmio,
+        })
+    }
+}
+
+/// One call as the agent decodes it: the target's API id and its
+/// arguments.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireCall {
+    /// Numeric API id, bound in the target's table.
+    pub api: u16,
+    /// Arguments in wire order.
+    pub args: Vec<ArgValue>,
+}
+
+/// A prog as the agent decodes it: calls by API id, plus the MMIO
+/// response stream (empty for pure-API progs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WireProg {
+    /// The call sequence.
+    pub calls: Vec<WireCall>,
+    /// The MMIO response stream.
+    pub mmio: Vec<u8>,
 }
 
 /// Encoding / decoding failures.
@@ -134,6 +187,8 @@ impl ApiTable {
 pub enum WireError {
     /// Prog has more calls than the format can carry.
     TooManyCalls(usize),
+    /// A call has more arguments than the format can carry.
+    TooManyArgs(usize),
     /// A call names an API absent from the table.
     UnboundApi(String),
     /// An id on the wire is absent from the table.
@@ -154,6 +209,7 @@ impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WireError::TooManyCalls(n) => write!(f, "prog has {n} calls, max 255"),
+            WireError::TooManyArgs(n) => write!(f, "call has {n} arguments, max 255"),
             WireError::UnboundApi(name) => write!(f, "API {name:?} not in table"),
             WireError::UnknownApiId(id) => write!(f, "unknown API id {id}"),
             WireError::PayloadTooLong(n) => write!(f, "payload of {n} bytes exceeds u16"),
@@ -182,7 +238,7 @@ pub fn encode_prog(prog: &Prog, table: &ApiTable, order: WireOrder) -> Result<Ve
             .ok_or_else(|| WireError::UnboundApi(call.api.clone()))?;
         out.extend_from_slice(&order.u16_bytes(id));
         if call.args.len() > 255 {
-            return Err(WireError::TooManyCalls(call.args.len()));
+            return Err(WireError::TooManyArgs(call.args.len()));
         }
         out.push(call.args.len() as u8);
         for arg in &call.args {
@@ -225,10 +281,16 @@ pub fn encode_prog(prog: &Prog, table: &ApiTable, order: WireOrder) -> Result<Ve
     Ok(out)
 }
 
-/// Decode a prog received from the host. This mirrors the agent's
-/// `read_prog()` and uses only slicing and integer assembly, as the agent
-/// contract requires.
-pub fn decode_prog(bytes: &[u8], table: &ApiTable, order: WireOrder) -> Result<Prog, WireError> {
+/// Decode a prog received from the host into the agent's id form. This
+/// is the agent's `read_prog()` and uses only slicing and integer
+/// assembly, as the agent contract requires. `api_count` is the length
+/// of the target's API table: ids are dense from 0, so an id at or past
+/// it is unbound ([`WireError::UnknownApiId`]).
+pub fn decode_prog(
+    bytes: &[u8],
+    api_count: usize,
+    order: WireOrder,
+) -> Result<WireProg, WireError> {
     let mut off = 0usize;
     let take = |off: &mut usize, n: usize| -> Result<&[u8], WireError> {
         if *off + n > bytes.len() {
@@ -250,11 +312,10 @@ pub fn decode_prog(bytes: &[u8], table: &ApiTable, order: WireOrder) -> Result<P
     let mut calls = Vec::with_capacity(ncalls);
     for _ in 0..ncalls {
         let idb = take(&mut off, 2)?;
-        let id = order.u16_from([idb[0], idb[1]]);
-        let name = table
-            .name_of(id)
-            .ok_or(WireError::UnknownApiId(id))?
-            .to_string();
+        let api = order.u16_from([idb[0], idb[1]]);
+        if api as usize >= api_count {
+            return Err(WireError::UnknownApiId(api));
+        }
         let argc = take(&mut off, 1)?[0] as usize;
         let mut args = Vec::with_capacity(argc);
         for _ in 0..argc {
@@ -285,7 +346,7 @@ pub fn decode_prog(bytes: &[u8], table: &ApiTable, order: WireOrder) -> Result<P
             };
             args.push(arg);
         }
-        calls.push(Call { api: name, args });
+        calls.push(WireCall { api, args });
     }
     let mut mmio = Vec::new();
     if off < bytes.len() && bytes[off] == MMIO_TRAILER {
@@ -294,7 +355,7 @@ pub fn decode_prog(bytes: &[u8], table: &ApiTable, order: WireOrder) -> Result<P
         let len = order.u16_from([lb[0], lb[1]]) as usize;
         mmio = take(&mut off, len)?.to_vec();
     }
-    Ok(Prog { mmio, calls })
+    Ok(WireProg { calls, mmio })
 }
 
 #[cfg(test)]
@@ -339,8 +400,15 @@ mod tests {
         let p = sample();
         let bytes = encode_prog(&p, &t, WireOrder::Little).unwrap();
         assert_eq!(&bytes[..4], b"EOFP");
-        let back = decode_prog(&bytes, &t, WireOrder::Little).unwrap();
+        let back = t.decode(&bytes, WireOrder::Little).unwrap();
         assert_eq!(back, p);
+        // The agent's form carries the ids the table assigned.
+        let wire = decode_prog(&bytes, 3, WireOrder::Little).unwrap();
+        let ids: Vec<u16> = wire.calls.iter().map(|c| c.api).collect();
+        assert_eq!(ids, [1, 2]);
+        for (w, n) in wire.calls.iter().zip(&p.calls) {
+            assert_eq!(w.args, n.args);
+        }
     }
 
     #[test]
@@ -348,7 +416,7 @@ mod tests {
         let t = table();
         let p = sample();
         let bytes = encode_prog(&p, &t, WireOrder::Big).unwrap();
-        let back = decode_prog(&bytes, &t, WireOrder::Big).unwrap();
+        let back = t.decode(&bytes, WireOrder::Big).unwrap();
         assert_eq!(back, p);
     }
 
@@ -357,7 +425,7 @@ mod tests {
         let t = table();
         let p = sample();
         let bytes = encode_prog(&p, &t, WireOrder::Big).unwrap();
-        if let Ok(back) = decode_prog(&bytes, &t, WireOrder::Little) {
+        if let Ok(back) = t.decode(&bytes, WireOrder::Little) {
             assert_ne!(back, p);
         }
     }
@@ -379,13 +447,17 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let err = decode_prog(b"NOPE\x01\x00", &table(), WireOrder::Little).unwrap_err();
+        let err = table()
+            .decode(b"NOPE\x01\x00", WireOrder::Little)
+            .unwrap_err();
         assert_eq!(err, WireError::BadMagic);
     }
 
     #[test]
     fn bad_version_rejected() {
-        let err = decode_prog(b"EOFP\x09\x00", &table(), WireOrder::Little).unwrap_err();
+        let err = table()
+            .decode(b"EOFP\x09\x00", WireOrder::Little)
+            .unwrap_err();
         assert_eq!(err, WireError::BadVersion(9));
     }
 
@@ -394,7 +466,7 @@ mod tests {
         let t = table();
         let bytes = encode_prog(&sample(), &t, WireOrder::Little).unwrap();
         for cut in 0..bytes.len() {
-            let r = decode_prog(&bytes[..cut], &t, WireOrder::Little);
+            let r = t.decode(&bytes[..cut], WireOrder::Little);
             assert!(r.is_err(), "prefix of {cut} bytes must not decode");
         }
     }
@@ -405,7 +477,7 @@ mod tests {
         // magic, version, 1 call, api id 1, 1 arg, tag 7.
         let bytes = [b'E', b'O', b'F', b'P', 1, 1, 1, 0, 1, 7];
         assert_eq!(
-            decode_prog(&bytes, &t, WireOrder::Little).unwrap_err(),
+            t.decode(&bytes, WireOrder::Little).unwrap_err(),
             WireError::BadTag(7)
         );
     }
@@ -413,11 +485,23 @@ mod tests {
     #[test]
     fn unknown_id_rejected() {
         let t = table();
-        let bytes = [b'E', b'O', b'F', b'P', 1, 1, 0x63, 0, 0];
+        let calling = |id: u8| [b'E', b'O', b'F', b'P', 1, 1, id, 0, 0];
         assert_eq!(
-            decode_prog(&bytes, &t, WireOrder::Little).unwrap_err(),
+            t.decode(&calling(0x63), WireOrder::Little).unwrap_err(),
             WireError::UnknownApiId(0x63)
         );
+        // Id 0 is below the table's largest id but bound to nothing.
+        assert_eq!(
+            t.decode(&calling(0), WireOrder::Little).unwrap_err(),
+            WireError::UnknownApiId(0)
+        );
+        // The agent's tables are dense: the first id past the length is
+        // the first unbound one.
+        assert_eq!(
+            decode_prog(&calling(2), 2, WireOrder::Little).unwrap_err(),
+            WireError::UnknownApiId(2)
+        );
+        assert!(decode_prog(&calling(1), 2, WireOrder::Little).is_ok());
     }
 
     #[test]
@@ -425,9 +509,7 @@ mod tests {
         let t = table();
         let bytes = encode_prog(&Prog::new(), &t, WireOrder::Little).unwrap();
         assert_eq!(bytes.len(), 6);
-        assert!(decode_prog(&bytes, &t, WireOrder::Little)
-            .unwrap()
-            .is_empty());
+        assert!(t.decode(&bytes, WireOrder::Little).unwrap().is_empty());
     }
 
     #[test]
@@ -437,16 +519,30 @@ mod tests {
         p.mmio = vec![0x4d, 0x00, 0xff, 0x10];
         for order in [WireOrder::Little, WireOrder::Big] {
             let bytes = encode_prog(&p, &t, order).unwrap();
-            assert_eq!(decode_prog(&bytes, &t, order).unwrap(), p);
+            assert_eq!(t.decode(&bytes, order).unwrap(), p);
             // Truncation inside the trailer is detected, never a panic.
             for cut in bytes.len() - p.mmio.len()..bytes.len() {
-                assert!(decode_prog(&bytes[..cut], &t, order).is_err());
+                assert!(t.decode(&bytes[..cut], order).is_err());
             }
         }
         // The trailer extends the plain encoding without altering it.
         let plain = encode_prog(&sample(), &t, WireOrder::Little).unwrap();
         let with = encode_prog(&p, &t, WireOrder::Little).unwrap();
         assert_eq!(&with[..plain.len()], &plain[..]);
+    }
+
+    #[test]
+    fn over_long_argument_list_is_too_many_args() {
+        let p = Prog {
+            mmio: vec![],
+            calls: vec![Call {
+                api: "create".into(),
+                args: vec![ArgValue::Int(0); 256],
+            }],
+        };
+        let err = encode_prog(&p, &table(), WireOrder::Little).unwrap_err();
+        assert_eq!(err, WireError::TooManyArgs(256));
+        assert_eq!(err.to_string(), "call has 256 arguments, max 255");
     }
 
     #[test]

@@ -43,7 +43,7 @@ proptest! {
     fn prog_wire_roundtrip_little(prog in arb_prog()) {
         let t = table();
         let bytes = encode_prog(&prog, &t, WireOrder::Little).unwrap();
-        let back = decode_prog(&bytes, &t, WireOrder::Little).unwrap();
+        let back = t.decode(&bytes, WireOrder::Little).unwrap();
         prop_assert_eq!(back, prog);
     }
 
@@ -51,13 +51,13 @@ proptest! {
     fn prog_wire_roundtrip_big(prog in arb_prog()) {
         let t = table();
         let bytes = encode_prog(&prog, &t, WireOrder::Big).unwrap();
-        let back = decode_prog(&bytes, &t, WireOrder::Big).unwrap();
+        let back = t.decode(&bytes, WireOrder::Big).unwrap();
         prop_assert_eq!(back, prog);
     }
 
     #[test]
     fn wire_decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_prog(&bytes, &table(), WireOrder::Little);
+        let _ = decode_prog(&bytes, table().len(), WireOrder::Little);
     }
 
     #[test]
@@ -65,7 +65,7 @@ proptest! {
         let t = table();
         let bytes = encode_prog(&prog, &t, WireOrder::Little).unwrap();
         let cut = cut.min(bytes.len());
-        let _ = decode_prog(&bytes[..cut], &t, WireOrder::Little);
+        let _ = decode_prog(&bytes[..cut], t.len(), WireOrder::Little);
     }
 
     #[test]
