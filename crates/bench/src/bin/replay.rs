@@ -116,12 +116,12 @@ fn resume(dir: &Path, total_hours: Option<f64>) -> i32 {
         loaded.manifest.consumed_hours
     );
     match resume_campaign(dir, total) {
-        Ok(outcome) => {
+        Ok((result, outcome)) => {
             println!(
                 "[replay] resumed: {} -> {} branches, {} execs; prefix verified ({} seeds, {} crashes, {} edges)",
                 outcome.prior.branches,
-                outcome.result.branches,
-                outcome.result.stats.execs,
+                result.branches,
+                result.stats.execs,
                 outcome.verified_seeds,
                 outcome.verified_crashes,
                 outcome.verified_edges

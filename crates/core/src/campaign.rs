@@ -1,16 +1,22 @@
 //! Campaign orchestration: image build → flash → boot → fuzz → results.
 //!
-//! `run_campaign` is the single entry point every example and bench uses:
-//! it performs the paper's workflow steps ① analyse the memory layout
-//! (kconfig), ② generate and validate the API specifications, ③ build
-//! the instrumented image, then attaches over the debug interface and
-//! runs the fuzzing loop to its simulated-time budget.
+//! [`Campaign`] is the one campaign driver. [`Campaign::start`] performs
+//! the paper's workflow steps ① analyse the memory layout (kconfig),
+//! ② generate and validate the API specifications, ③ build the
+//! instrumented image, then attaches over the debug interface;
+//! [`Campaign::advance_to`] runs the fuzzing loop on to a simulated time
+//! and [`Campaign::finish`] takes it to the budget, finalizes the store
+//! and returns the [`CampaignResult`]. [`Campaign::resume`] re-derives a
+//! persisted campaign up to its checkpoint and verifies it there.
+//! [`run_campaign`] is the common case: start, then finish.
 
 use crate::config::FuzzerConfig;
-use crate::crash::CrashReport;
+use crate::crash::{dedup_key, CrashReport};
 use crate::executor::Executor;
 use crate::fuzzer::{Fuzzer, FuzzerStats};
 use crate::gen::Generator;
+use crate::persist::{self, config_fingerprint, StoreError};
+use crate::replay::ResumeOutcome;
 use crate::supervisor::{ResilienceStats, Rung};
 use eof_agent::{agent_loader, api_table_of};
 use eof_coverage::Snapshot;
@@ -21,6 +27,8 @@ use eof_monitors::{parse_kconfig, render_kconfig, StateRestoration};
 use eof_rtos::bugs::BugId;
 use eof_specgen::{GenReport, NoiseConfig};
 use eof_telemetry as tel;
+use std::collections::BTreeSet;
+use std::path::Path;
 
 /// Everything a campaign produced.
 #[derive(Debug, Clone)]
@@ -48,63 +56,190 @@ pub struct CampaignResult {
     /// summaries for identical seeds.
     pub telemetry: Option<tel::Registry>,
     /// Stable hashes of every admitted seed, in admission order (culled
-    /// seeds included). The resume path verifies persisted seed pools
-    /// against this.
+    /// seeds included).
     pub corpus_hashes: Vec<u64>,
     /// What the end-of-campaign persistence pass did; `None` unless
     /// `config.persist` was set.
     pub persist: Option<crate::replay::FinalizeAudit>,
 }
 
-/// Run one full campaign, also returning the final coverage map (for
-/// diagnostics and coverage-inspection tooling).
-pub fn run_campaign_with_coverage(
-    config: FuzzerConfig,
-) -> (CampaignResult, eof_coverage::CoverageMap) {
-    run_campaign_inner(config, FaultPlan::none())
-}
-
 /// Run one full campaign.
 pub fn run_campaign(config: FuzzerConfig) -> CampaignResult {
-    run_campaign_inner(config, FaultPlan::none()).0
+    Campaign::start(config, FaultPlan::none(), false).finish()
 }
 
-/// Run one full campaign under a harness-injected fault schedule (the
-/// chaos harness's entry point). Plan cycles are relative to the moment
-/// the fuzzer attaches — i.e. to campaign start.
-pub fn run_campaign_with_faults(config: FuzzerConfig, plan: FaultPlan) -> CampaignResult {
-    run_campaign_inner(config, plan).0
+/// One campaign, booted once ([`Campaign::start`] or
+/// [`Campaign::resume`]), advanced any number of times, then finished.
+/// It stays on the thread that started it: its telemetry recorder is
+/// thread-local.
+pub struct Campaign {
+    fuzzer: Fuzzer,
+    spec_report: GenReport,
+    image_bytes: usize,
+    recorder: Option<tel::RecorderGuard>,
+    fuzz_span: tel::SpanToken,
 }
 
-/// Run one full campaign with telemetry recording forced on, regardless
-/// of `EOF_TRACE`. For tests and tooling: mutating the process
-/// environment is racy under a parallel test runner, so callers that
-/// need a recorded campaign ask for one explicitly.
-pub fn run_campaign_recorded(config: FuzzerConfig) -> CampaignResult {
-    run_campaign_traced(config, FaultPlan::none(), true).0
-}
+impl Campaign {
+    /// Boot a campaign under `plan` (harness-injected faults, counted
+    /// from the debug attach), parked at its first sync point, with a
+    /// store attached when `config.persist` is set. Telemetry is
+    /// recorded when `EOF_TRACE` is set or `force_record` asks for it
+    /// (tests: mutating the environment is racy under a parallel test
+    /// runner).
+    pub fn start(config: FuzzerConfig, plan: FaultPlan, force_record: bool) -> Campaign {
+        // The recorder is installed before boot, so the campaign's
+        // telemetry shape is fixed here; the guard uninstalls it on
+        // panic, keeping panic-isolated fleet workers clean.
+        let recorder = (force_record || tel::enabled()).then(tel::begin);
+        let (fuzzer, spec_report, image_bytes) = build_fuzzer(config, plan);
+        let fuzz_span = tel::span_start("campaign.fuzz", fuzzer.executor().now());
+        Campaign {
+            fuzzer,
+            spec_report,
+            image_bytes,
+            recorder,
+            fuzz_span,
+        }
+    }
 
-/// [`run_campaign_recorded`] under a harness-injected fault schedule:
-/// the chaos harness uses this to check telemetry-visible invariants
-/// (e.g. that every discarded comparison drain was counted) while the
-/// hardware misbehaves.
-pub fn run_campaign_recorded_with_faults(config: FuzzerConfig, plan: FaultPlan) -> CampaignResult {
-    run_campaign_traced(config, plan, true).0
-}
+    /// Fuzz on until `hours` of simulated time have passed since boot.
+    pub fn advance_to(&mut self, hours: f64) {
+        self.fuzzer.advance_to(hours);
+    }
 
-fn run_campaign_inner(
-    config: FuzzerConfig,
-    plan: FaultPlan,
-) -> (CampaignResult, eof_coverage::CoverageMap) {
-    run_campaign_traced(config, plan, tel::enabled())
+    /// The live fuzzer (coverage, corpus and crashes so far).
+    pub fn fuzzer(&self) -> &Fuzzer {
+        &self.fuzzer
+    }
+
+    /// Fuzz to the budget, close the coverage curve, finalize the store
+    /// when persisting, and check the recorded counters against the
+    /// stats when recording.
+    pub fn finish(mut self) -> CampaignResult {
+        let fuzzer = &mut self.fuzzer;
+        let history = fuzzer.run_to_budget();
+        tel::span_end(self.fuzz_span, fuzzer.executor().now());
+
+        let stats = fuzzer.stats().clone();
+        let resilience = fuzzer.executor().resilience();
+        // End-of-campaign save (see `finalize_store`). Its re-executions
+        // run with the recorder suspended so they cannot drift the
+        // campaign's counters; only the save itself is spanned.
+        let persist_audit = fuzzer.take_store().map(|store| {
+            let span = tel::span_start("persist.save", fuzzer.executor().now());
+            let audit = tel::suspended(|| {
+                crate::replay::finalize_store(
+                    store,
+                    fuzzer.config(),
+                    fuzzer.corpus(),
+                    fuzzer.crashes(),
+                    fuzzer.executor().coverage(),
+                    fuzzer.config().budget_hours,
+                    stats.execs,
+                )
+            });
+            tel::span_end(span, fuzzer.executor().now());
+            tel::count("persist.seeds", audit.seeds_written as u64);
+            tel::count("persist.crashes", audit.crashes_written as u64);
+            audit
+        });
+        let telemetry = self.recorder.map(|g| {
+            let registry = g.finish();
+            assert_no_counter_drift(&registry, &stats, &resilience);
+            registry
+        });
+
+        CampaignResult {
+            branches: fuzzer.executor().coverage().branches(),
+            history,
+            crashes: fuzzer.crashes().unique().cloned().collect(),
+            bugs: fuzzer.crashes().bugs_found(),
+            stats,
+            resilience,
+            spec_report: self.spec_report,
+            image_bytes: self.image_bytes,
+            telemetry,
+            corpus_hashes: fuzzer.corpus().admitted_hashes(),
+            persist: persist_audit,
+        }
+    }
+
+    /// Re-derive the campaign checkpointed in `dir`: boot with the
+    /// store re-attached, advance to its consumed hours and verify there
+    /// that the store is an exact prefix of what was re-derived (seeds
+    /// by hash, crashes by class, coverage edge by edge). `config` is
+    /// the producing configuration with the budget to resume to. A
+    /// divergence breaks the determinism contract: it returns
+    /// [`StoreError::Diverged`] without finalizing, so the store is left
+    /// without a manifest.
+    pub fn resume(
+        mut config: FuzzerConfig,
+        dir: &Path,
+    ) -> Result<(Campaign, ResumeOutcome), StoreError> {
+        let loaded = persist::open(dir)?;
+        if config.os != loaded.manifest.os || config.seed != loaded.manifest.seed {
+            return Err(StoreError::ConfigMismatch(format!(
+                "store holds {} seed {}, resume config is {} seed {}",
+                loaded.manifest.os.display(),
+                loaded.manifest.seed,
+                config.os.display(),
+                config.seed
+            )));
+        }
+        if config_fingerprint(&config) != loaded.manifest.fingerprint {
+            return Err(StoreError::ConfigMismatch(
+                "resume config fingerprint differs from the store's".to_string(),
+            ));
+        }
+        if config.budget_hours < loaded.manifest.consumed_hours {
+            return Err(StoreError::ConfigMismatch(format!(
+                "resume budget {}h is shorter than the {}h already consumed",
+                config.budget_hours, loaded.manifest.consumed_hours
+            )));
+        }
+        config.persist = Some(dir.to_path_buf());
+        let mut campaign = Campaign::start(config, FaultPlan::none(), false);
+        campaign.advance_to(loaded.manifest.consumed_hours);
+
+        let fuzzer = &campaign.fuzzer;
+        let admitted: BTreeSet<u64> = fuzzer.corpus().admitted_hashes().into_iter().collect();
+        if let Some(seed) = loaded.seeds.iter().find(|s| !admitted.contains(&s.hash)) {
+            return Err(StoreError::Diverged(format!(
+                "persisted seed {:016x} (ordinal {}) was not re-admitted",
+                seed.hash, seed.ordinal
+            )));
+        }
+        let keys: BTreeSet<String> = fuzzer.crashes().unique().map(dedup_key).collect();
+        if let Some(crash) = loaded.crashes.iter().find(|c| !keys.contains(&c.key)) {
+            return Err(StoreError::Diverged(format!(
+                "persisted crash class {:016x} ({}) was not re-found",
+                crash.key_hash, crash.message
+            )));
+        }
+        let live = fuzzer.executor().coverage();
+        if let Some(edge) = loaded.coverage_edges.iter().find(|&&e| !live.contains(e)) {
+            return Err(StoreError::Diverged(format!(
+                "persisted coverage edge {edge:#x} was not re-covered"
+            )));
+        }
+        let outcome = ResumeOutcome {
+            verified_seeds: loaded.seeds.len(),
+            verified_crashes: loaded.crashes.len(),
+            verified_edges: loaded.coverage_edges.len(),
+            skips: loaded.skips,
+            prior: loaded.manifest,
+        };
+        Ok((campaign, outcome))
+    }
 }
 
 /// Perform the paper's setup workflow — spec pipeline, image build,
 /// flash, boot, debug attach — and return a fuzzer parked at its first
 /// sync point, plus the spec-generation report and flashed image size.
-/// `run_campaign` drives the returned fuzzer to its time budget; tests
-/// that need exec-count-exact comparisons (the vectored-equivalence
-/// gate) drive [`Fuzzer::step`] themselves instead.
+/// [`Campaign::start`] wraps the returned fuzzer; tests that need
+/// exec-count-exact comparisons (the vectored-equivalence gate) drive
+/// [`Fuzzer::step`] themselves instead.
 pub fn build_fuzzer(config: FuzzerConfig, plan: FaultPlan) -> (Fuzzer, GenReport, usize) {
     // ② Extract + validate the API specifications. The pipeline is pure
     // in (os, noise, validation), so it is interned process-wide; the
@@ -214,69 +349,6 @@ pub fn boot_executor(config: &FuzzerConfig, image: &[u8], plan: FaultPlan) -> Ex
     .expect("executor binds to sync symbols")
 }
 
-fn run_campaign_traced(
-    config: FuzzerConfig,
-    plan: FaultPlan,
-    record: bool,
-) -> (CampaignResult, eof_coverage::CoverageMap) {
-    // Install a per-campaign recorder on this thread. Every record call
-    // below (executor, supervisor, transport, HAL) checks only "is a
-    // recorder installed" — never the env — so the campaign's telemetry
-    // shape is fixed at entry. The guard uninstalls on panic, keeping
-    // fleet workers clean across panic-isolated jobs.
-    let guard = record.then(tel::begin);
-    let (mut fuzzer, spec_report, image_bytes) = build_fuzzer(config, plan);
-    let fuzz_span = tel::span_start("campaign.fuzz", fuzzer.executor().now());
-    let history = fuzzer.run_to_budget();
-    tel::span_end(fuzz_span, fuzzer.executor().now());
-
-    let stats = fuzzer.stats().clone();
-    let resilience = fuzzer.executor().resilience();
-    // End-of-campaign save: confirm + minimize crashes on private fresh
-    // targets, record the seed pool's fresh-boot baseline, write the
-    // manifest last. The re-executions run with the campaign recorder
-    // suspended so they cannot drift the campaign's own counters; only
-    // the save itself is spanned and counted.
-    let persist_audit = fuzzer.take_store().map(|store| {
-        let span = tel::span_start("persist.save", fuzzer.executor().now());
-        let audit = tel::suspended(|| {
-            crate::replay::finalize_store(
-                store,
-                fuzzer.config(),
-                fuzzer.corpus(),
-                fuzzer.crashes(),
-                fuzzer.executor().coverage(),
-                fuzzer.config().budget_hours,
-                stats.execs,
-            )
-        });
-        tel::span_end(span, fuzzer.executor().now());
-        tel::count("persist.seeds", audit.seeds_written as u64);
-        tel::count("persist.crashes", audit.crashes_written as u64);
-        audit
-    });
-    let telemetry = guard.map(|g| {
-        let registry = g.finish();
-        assert_no_counter_drift(&registry, &stats, &resilience);
-        registry
-    });
-
-    let result = CampaignResult {
-        branches: fuzzer.executor().coverage().branches(),
-        history,
-        crashes: fuzzer.crashes().unique().cloned().collect(),
-        bugs: fuzzer.crashes().bugs_found(),
-        stats,
-        resilience,
-        spec_report,
-        image_bytes,
-        telemetry,
-        corpus_hashes: fuzzer.corpus().admitted_hashes(),
-        persist: persist_audit,
-    };
-    (result, fuzzer.executor().coverage().clone())
-}
-
 /// The two accounting paths — hand-maintained `FuzzerStats` /
 /// `ResilienceStats` and the telemetry counters mirrored at the same
 /// increment sites — must agree exactly at campaign end. A divergence
@@ -356,6 +428,10 @@ mod tests {
         c
     }
 
+    fn recorded(config: FuzzerConfig) -> CampaignResult {
+        Campaign::start(config, FaultPlan::none(), true).finish()
+    }
+
     #[test]
     fn campaign_runs_on_every_os() {
         for os in OsKind::ALL {
@@ -402,12 +478,12 @@ mod tests {
 
     #[test]
     fn recorded_campaigns_are_deterministic_and_drift_free() {
-        // `run_campaign_recorded` exercises the whole telemetry path:
+        // A forced recording exercises the whole telemetry path:
         // recorder install, span/counter capture across every layer, and
         // the end-of-campaign counter-drift assertion (which runs inside
         // the call — reaching this point means it held).
-        let a = run_campaign_recorded(short(OsKind::FreeRtos, 11, 0.02));
-        let b = run_campaign_recorded(short(OsKind::FreeRtos, 11, 0.02));
+        let a = recorded(short(OsKind::FreeRtos, 11, 0.02));
+        let b = recorded(short(OsKind::FreeRtos, 11, 0.02));
         let ta = a
             .telemetry
             .as_ref()
@@ -440,12 +516,12 @@ mod tests {
         // A cmplog campaign exercises the full Redqueen pipeline: the
         // armed ring drains into the journal, the scheduler attributes
         // every scheduled mutant to an operator, and the drift gate
-        // (inside `run_campaign_recorded`) proves the `fuzz.op.*`
+        // (inside a recorded `finish`) proves the `fuzz.op.*`
         // telemetry mirrors `FuzzerStats` exactly.
         let mut c = FuzzerConfig::eof_cmplog(OsKind::FreeRtos, 7);
         c.budget_hours = 0.02;
         c.snapshot_hours = 0.005;
-        let r = run_campaign_recorded(c);
+        let r = recorded(c);
         let scheduled: u64 = r.stats.op_execs.iter().sum();
         assert!(scheduled > 0, "no mutants were attributed to operators");
         // Scheduled mutants are a subset of all execs (fresh generated
@@ -456,6 +532,59 @@ mod tests {
             tel.counter("exec.cmp_records") > 0,
             "armed ring never produced a comparison record"
         );
+    }
+
+    #[test]
+    fn history_points_sit_on_interval_boundaries() {
+        // Point k is labelled k × interval, and a budget that is itself
+        // a boundary gets no second point.
+        let r = run_campaign(short(OsKind::FreeRtos, 7, 0.02));
+        let hours: Vec<f64> = r.history.iter().map(|s| s.hours).collect();
+        assert_eq!(hours, [0.005, 0.01, 0.015, 0.02]);
+        // Off a boundary, the curve closes with one point at the budget.
+        let mut c = short(OsKind::FreeRtos, 7, 0.02);
+        c.snapshot_hours = 0.008;
+        let hours: Vec<f64> = run_campaign(c).history.iter().map(|s| s.hours).collect();
+        assert_eq!(hours, [0.008, 0.016, 0.02]);
+    }
+
+    #[test]
+    fn pausing_and_continuing_equals_a_straight_run() {
+        // Finish after the clock stops, so the final cycle count can be
+        // compared too (finishing a campaign that already sits at its
+        // budget fuzzes no further).
+        fn finish(mut campaign: Campaign) -> (CampaignResult, u64) {
+            campaign.advance_to(campaign.fuzzer().config().budget_hours);
+            let now = campaign.fuzzer().executor().now();
+            (campaign.finish(), now)
+        }
+        for os in [
+            OsKind::FreeRtos,
+            OsKind::RtThread,
+            OsKind::NuttX,
+            OsKind::Zephyr,
+        ] {
+            let config = short(os, 1, 0.05);
+            // 0.02 h is not an interval boundary (0.0125 h).
+            let mut paused = Campaign::start(config.clone(), FaultPlan::none(), true);
+            paused.advance_to(0.02);
+            let (a, now_a) = finish(paused);
+            let (b, now_b) = finish(Campaign::start(config, FaultPlan::none(), true));
+            assert_eq!(now_a, now_b, "{os}");
+            assert_eq!(a.stats.execs, b.stats.execs, "{os}");
+            assert_eq!(a.branches, b.branches, "{os}");
+            assert_eq!(a.bugs, b.bugs, "{os}");
+            assert_eq!(
+                format!("{:?}", a.crashes),
+                format!("{:?}", b.crashes),
+                "{os}"
+            );
+            assert_eq!(a.corpus_hashes, b.corpus_hashes, "{os}");
+            assert_eq!(a.history, b.history, "{os}");
+            // One `campaign.fuzz` span, however many advances.
+            let summary = |r: &CampaignResult| r.telemetry.as_ref().expect("recorded").summary();
+            assert_eq!(summary(&a).to_json(), summary(&b).to_json(), "{os}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Identical seeds reproduce identical schedules, campaigns and
 //! [`ResilienceStats`] — asserted by the `chaos` bench and CI.
 
-use crate::campaign::{run_campaign_with_faults, CampaignResult};
+use crate::campaign::{Campaign, CampaignResult};
 use crate::config::FuzzerConfig;
 use crate::supervisor::ResilienceStats;
 use eof_hal::clock::{secs_to_cycles, CYCLES_PER_SEC};
@@ -130,7 +130,7 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
         config.base.board.flash_size,
     );
     let planned_faults = plan.pending();
-    let result = run_campaign_with_faults(config.base.clone(), plan);
+    let result = Campaign::start(config.base.clone(), plan, false).finish();
     let mut violations = check_invariants(&result);
     if let Some(dir) = &config.base.persist {
         violations.extend(audit_persistence(&result, dir));
@@ -365,7 +365,7 @@ mod tests {
             base.budget_hours = 0.1;
             base.snapshot_hours = 0.025;
             base.snapshot = snapshot;
-            let result = run_campaign_with_faults(base, plan);
+            let result = Campaign::start(base, plan, false).finish();
             let violations = check_invariants(&result);
             assert!(
                 violations.is_empty(),
@@ -389,7 +389,6 @@ mod tests {
         // never tear a transaction or wedge the campaign. Running the
         // campaigns recorded also re-checks the `fuzz.op.*` counter-drift
         // gate under every fault kind.
-        use crate::campaign::run_campaign_recorded_with_faults;
         use eof_hal::FaultPlan;
         let flash_size = FuzzerConfig::eof(OsKind::FreeRtos, 11).board.flash_size;
         let mut records_total = 0u64;
@@ -424,7 +423,7 @@ mod tests {
                 base.budget_hours = 0.1;
                 base.snapshot_hours = 0.025;
                 base.vectored = vectored;
-                let result = run_campaign_recorded_with_faults(base, plan);
+                let result = Campaign::start(base, plan, true).finish();
                 let violations = check_invariants(&result);
                 assert!(
                     violations.is_empty(),
@@ -462,7 +461,6 @@ mod tests {
         // decoder fed torn bytes would poison the bitmap with invented
         // edges, so the invariant gate plus the live-channel check
         // below cover both layers.
-        use crate::campaign::run_campaign_recorded_with_faults;
         use eof_coverage::CoverageKind;
         use eof_hal::FaultPlan;
         let flash_size = FuzzerConfig::eof(OsKind::FreeRtos, 11).board.flash_size;
@@ -499,7 +497,7 @@ mod tests {
                 base.budget_hours = 0.1;
                 base.snapshot_hours = 0.025;
                 base.vectored = vectored;
-                let result = run_campaign_recorded_with_faults(base, plan);
+                let result = Campaign::start(base, plan, true).finish();
                 let violations = check_invariants(&result);
                 assert!(
                     violations.is_empty(),

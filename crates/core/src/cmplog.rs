@@ -142,7 +142,7 @@ impl MutOp {
 /// where each weight tracks the operator's Laplace-smoothed
 /// interesting-rate `(interesting + 1) / (execs + 1)`, renormalised to
 /// shares and floored at [`WEIGHT_FLOOR`]. The distribution refreshes
-/// every [`REWEIGHT_EVERY`] picks — often enough to follow the
+/// every `REWEIGHT_EVERY` picks — often enough to follow the
 /// campaign's phase changes, rarely enough that one lucky mutant does
 /// not whipsaw the mix.
 #[derive(Debug, Clone)]

@@ -40,10 +40,11 @@ pub mod worker;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use eof_hal::FaultPlan;
 use eof_rtos::bugs::BugId;
 use eof_rtos::OsKind;
 
-use crate::campaign::run_campaign_with_coverage;
+use crate::campaign::Campaign;
 use crate::config::FuzzerConfig;
 use crate::persist::{Exchange, ExchangeImport};
 use crate::supervisor::ResilienceStats;
@@ -266,9 +267,12 @@ pub fn run_serial(cells: &[FuzzerConfig]) -> SerialMerge {
     for cell in cells {
         let mut config = cell.clone();
         config.persist = None;
-        let (result, coverage) = run_campaign_with_coverage(config);
-        merge.bugs.extend(result.bugs.iter().copied());
+        let mut campaign = Campaign::start(config, FaultPlan::none(), false);
+        campaign.advance_to(cell.budget_hours);
+        let coverage = campaign.fuzzer().executor().coverage();
         merge.coverage_edges.extend(coverage.iter());
+        let result = campaign.finish();
+        merge.bugs.extend(result.bugs.iter().copied());
         merge.cells.push((result.branches, result.stats.execs));
         merge.resilience.absorb(&result.resilience);
     }

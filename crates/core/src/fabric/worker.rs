@@ -4,14 +4,15 @@
 //! A cell's campaign (budget `B`, `slices` checkpoints) is executed as
 //! a ladder of growing budgets: slice `k` takes the campaign to
 //! `B·(k+1)/slices` simulated hours and lands a *complete* store
-//! (manifest last) in the cell's checkpoint directory. Because
-//! campaigns are bit-deterministic in `(config, seed)` and simulated
-//! time is free, every slice after the first is a
-//! [`resume_campaign_with`] call: re-derive at the longer budget, then
-//! prefix-verify that the persisted checkpoint is exactly what the
-//! longer run re-derived. A replacement worker picking up a dead
-//! worker's cell runs the *same* procedure — resuming from the last
-//! valid checkpoint is the normal path, not a special recovery mode.
+//! (manifest last) in the cell's checkpoint directory. A slice is one
+//! [`Campaign`] with the slice's budget: started fresh for the first
+//! slice, [`Campaign::resume`]d from the checkpoint for every later one
+//! (re-derive up to the checkpoint, prefix-verify it there, fuzz on),
+//! then finished. Campaigns are bit-deterministic in `(config, seed)`
+//! and simulated time is free, so a replacement worker picking up a
+//! dead worker's cell runs the *same* procedure — resuming from the
+//! last valid checkpoint is the normal path, not a special recovery
+//! mode.
 //!
 //! Checkpoint damage degrades, never kills: a torn entry inside the
 //! store is persist's counted skip (the resume still verifies the
@@ -21,15 +22,15 @@
 
 use std::path::Path;
 
-use crate::campaign::run_campaign_with_coverage;
+use crate::campaign::Campaign;
 use crate::config::FuzzerConfig;
 use crate::persist::StoreError;
-use crate::replay::resume_campaign_with;
+use eof_hal::FaultPlan;
 use eof_rtos::bugs::BugId;
 use std::collections::BTreeSet;
 
 /// What one executed slice reports back to the coordinator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SliceReport {
     /// Simulated hours the checkpoint now covers.
     pub consumed_hours: f64,
@@ -43,8 +44,8 @@ pub struct SliceReport {
     pub checkpoint_skips: usize,
     /// 1 when a torn checkpoint was discarded and re-derived fresh.
     pub checkpoints_discarded: usize,
-    /// Prefix entries `resume_campaign` verified (seeds + crashes +
-    /// coverage edges re-derived by the longer run).
+    /// Prefix entries [`Campaign::resume`] verified (seeds + crashes +
+    /// coverage edges re-derived up to the checkpoint).
     pub prefix_verified: usize,
     /// Final campaign result once the last slice lands.
     pub finished: Option<FinishedCell>,
@@ -70,36 +71,42 @@ pub struct FinishedCell {
 /// Budget the checkpoint ladder targets at slice `k` (0-based) of
 /// `slices`. Pure f64 arithmetic on fixed inputs, so every worker —
 /// and every *re*-worker after a reassignment — computes bit-identical
-/// targets, which the resume budget checks rely on.
+/// targets, which the resume budget checks rely on. The last slice
+/// targets exactly `total_hours`: `total·s/s` can miss it by an ulp
+/// when `s` is not a power of two.
 pub fn slice_target_hours(total_hours: f64, slices: usize, slice: usize) -> f64 {
+    if slice + 1 >= slices {
+        return total_hours;
+    }
     total_hours * (slice as f64 + 1.0) / slices as f64
 }
 
 /// Advance one cell to `target_hours`, checkpointing into `dir`.
 ///
-/// Fresh directory (no manifest) ⇒ run the campaign from zero with
+/// Fresh directory (no manifest) ⇒ start the campaign from zero with
 /// persistence attached. Existing checkpoint ⇒ resume and
 /// prefix-verify it. A checkpoint whose manifest is torn or whose
 /// prefix diverged is discarded (counted) and the slice re-runs from
-/// zero — recovery is always *forward*, never wedged.
+/// zero — recovery is always *forward*, never wedged. Either way the
+/// campaign then finishes at `target_hours`, landing the next
+/// checkpoint.
 pub fn advance_cell(config: &FuzzerConfig, dir: &Path, target_hours: f64) -> SliceReport {
     let mut report = SliceReport {
         consumed_hours: target_hours,
-        coverage_edges: Vec::new(),
-        bugs: BTreeSet::new(),
-        checkpoint_skips: 0,
-        checkpoints_discarded: 0,
-        prefix_verified: 0,
-        finished: None,
+        ..SliceReport::default()
     };
     let mut sliced = config.clone();
     sliced.budget_hours = target_hours;
     sliced.persist = Some(dir.to_path_buf());
 
-    let has_manifest = dir.join("manifest.eof").exists();
-    let resumed = if has_manifest {
-        match resume_campaign_with(sliced.clone(), dir) {
-            Ok(outcome) => Some(outcome),
+    let resumed = if dir.join("manifest.eof").exists() {
+        match Campaign::resume(sliced.clone(), dir) {
+            Ok((campaign, verified)) => {
+                report.checkpoint_skips = verified.skips.total();
+                report.prefix_verified =
+                    verified.verified_seeds + verified.verified_crashes + verified.verified_edges;
+                Some(campaign)
+            }
             Err(StoreError::Io(_))
             | Err(StoreError::Corrupt(_))
             | Err(StoreError::ForeignSchema { .. })
@@ -122,21 +129,13 @@ pub fn advance_cell(config: &FuzzerConfig, dir: &Path, target_hours: f64) -> Sli
     } else {
         None
     };
+    let mut campaign = resumed.unwrap_or_else(|| Campaign::start(sliced, FaultPlan::none(), false));
+    campaign.advance_to(target_hours);
+    report.coverage_edges = campaign.fuzzer().executor().coverage().sorted_edges();
 
-    let (result, coverage) = match resumed {
-        Some(outcome) => {
-            report.checkpoint_skips = outcome.skips.total();
-            report.prefix_verified =
-                outcome.verified_seeds + outcome.verified_crashes + outcome.verified_edges;
-            (outcome.result, outcome.coverage)
-        }
-        None => run_campaign_with_coverage(sliced),
-    };
-
-    report.coverage_edges = coverage.iter().collect();
-    report.coverage_edges.sort_unstable();
+    let result = campaign.finish();
     report.bugs = result.bugs.iter().copied().collect();
-    if (report.consumed_hours - config.budget_hours).abs() < f64::EPSILON {
+    if target_hours >= config.budget_hours {
         report.finished = Some(FinishedCell {
             branches: result.branches,
             execs: result.stats.execs,
@@ -185,6 +184,42 @@ mod tests {
             slice_target_hours(total, 4, 2).to_bits(),
             slice_target_hours(total, 4, 2).to_bits()
         );
+    }
+
+    #[test]
+    fn last_slice_targets_the_budget_exactly() {
+        // `total·s/s` misses `total` by an ulp for some slice counts
+        // (1.4 h in 3 slices gives 1.3999999999999997); the last slice
+        // must land the budget bit for bit or the cell never finishes.
+        for t in 1..=2000u32 {
+            let total = f64::from(t) / 100.0;
+            for slices in 1..=8 {
+                let last = slice_target_hours(total, slices, slices - 1);
+                assert_eq!(last.to_bits(), total.to_bits(), "{total} h in {slices}");
+            }
+            // Power-of-two ladders keep the plain formula's targets.
+            for slices in [1usize, 2, 4, 8] {
+                for k in 0..slices {
+                    let plain = total * (k as f64 + 1.0) / slices as f64;
+                    assert_eq!(
+                        slice_target_hours(total, slices, k).to_bits(),
+                        plain.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_last_slice_off_a_power_of_two_finishes_the_cell() {
+        let config = cell(OsKind::PokOs, 7, 1.4);
+        let dir = tmpdir("three-slices");
+        let report = advance_cell(&config, &dir, slice_target_hours(1.4, 3, 2));
+        assert!(
+            report.finished.is_some(),
+            "the last slice left the cell open"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

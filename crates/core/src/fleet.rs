@@ -229,28 +229,6 @@ impl FleetRunner {
     pub fn run(&self, configs: Vec<FuzzerConfig>) -> Vec<FleetResult<CampaignResult>> {
         self.map(configs, |_, config| run_campaign(config))
     }
-
-    /// Run a batch of campaigns with persistence: job `i` writes its
-    /// store into `base_dir/job-<i>`, overriding whatever `persist`
-    /// the config carried. The per-job directories keep concurrent
-    /// workers from ever sharing a store; a shared directory would
-    /// still degrade safely (per-file atomic writes, foreign entries
-    /// counted and skipped) but would interleave manifests.
-    pub fn run_persisted(
-        &self,
-        configs: Vec<FuzzerConfig>,
-        base_dir: &std::path::Path,
-    ) -> Vec<FleetResult<CampaignResult>> {
-        let configs: Vec<FuzzerConfig> = configs
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut c)| {
-                c.persist = Some(base_dir.join(format!("job-{i}")));
-                c
-            })
-            .collect();
-        self.run(configs)
-    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -335,7 +313,9 @@ mod tests {
 
     #[test]
     fn recorded_fleet_merges_identically_serial_and_parallel() {
-        use crate::campaign::run_campaign_recorded;
+        use crate::campaign::Campaign;
+        use eof_hal::FaultPlan;
+        let recorded = |_, c| Campaign::start(c, FaultPlan::none(), true).finish();
         // The telemetry half of the fleet determinism contract: merging
         // per-campaign registries in submission order must yield the same
         // summary whether the jobs ran on 1 worker or 4.
@@ -351,8 +331,8 @@ mod tests {
                 .collect();
             eof_telemetry::Merged::from_parts(parts).summary().to_json()
         };
-        let serial = FleetRunner::new(1).map(configs.clone(), |_, c| run_campaign_recorded(c));
-        let parallel = FleetRunner::new(4).map(configs, |_, c| run_campaign_recorded(c));
+        let serial = FleetRunner::new(1).map(configs.clone(), recorded);
+        let parallel = FleetRunner::new(4).map(configs, recorded);
         assert_eq!(merged_summary(serial), merged_summary(parallel));
     }
 
@@ -360,8 +340,17 @@ mod tests {
     fn persisted_fleet_writes_one_store_per_job() {
         let base = std::env::temp_dir().join(format!("eof-fleet-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
-        let configs = vec![short(OsKind::Zephyr, 31), short(OsKind::FreeRtos, 32)];
-        let out = FleetRunner::new(2).run_persisted(configs, &base);
+        // One directory per job keeps concurrent workers from ever
+        // sharing a store.
+        let configs = [short(OsKind::Zephyr, 31), short(OsKind::FreeRtos, 32)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut c)| {
+                c.persist = Some(base.join(format!("job-{i}")));
+                c
+            })
+            .collect();
+        let out = FleetRunner::new(2).run(configs);
         for (i, r) in out.iter().enumerate() {
             let r = r.as_ref().expect("persisted campaign runs");
             let audit = r.persist.as_ref().expect("job audited its store");

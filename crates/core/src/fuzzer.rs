@@ -52,6 +52,9 @@ pub struct Fuzzer {
     rng: StdRng,
     stats: FuzzerStats,
     store: Option<CampaignStore>,
+    /// Simulated hours on the clock when the loop took over the booted
+    /// target; budgets and history labels count from here.
+    start_hours: f64,
     /// Cmplog state: the operand journal and the operator scheduler.
     /// `None` when the campaign runs without cmplog — the loop then
     /// takes the exact pre-cmplog path, consuming identical RNG draws.
@@ -65,6 +68,7 @@ impl Fuzzer {
         let cmplog = config
             .cmplog
             .then(|| (CmpJournal::new(), OpScheduler::new(config.seed)));
+        let start_hours = executor.now_hours();
         Fuzzer {
             config,
             generator,
@@ -74,6 +78,7 @@ impl Fuzzer {
             rng,
             stats: FuzzerStats::default(),
             store: None,
+            start_hours,
             cmplog,
         }
     }
@@ -313,27 +318,35 @@ impl Fuzzer {
         (None, outcome.stalled)
     }
 
-    /// Run until the simulated-time budget is exhausted, snapshotting
-    /// coverage on the configured interval. Returns the coverage curve.
-    pub fn run_to_budget(&mut self) -> Vec<Snapshot> {
-        let start_hours = self.executor.now_hours();
-        let end_hours = start_hours + self.config.budget_hours;
-        let mut next_snap = start_hours + self.config.snapshot_hours;
-        while self.executor.now_hours() < end_hours {
+    /// Fuzz until `hours` of simulated time have passed since boot.
+    /// This is the fuzzing loop: it stops on exactly the step a single
+    /// run to a budget of `hours` stops on, so advancing in pieces is
+    /// advancing at once. History point `k` is taken once the clock
+    /// passes `k × snapshot_hours`, never past the campaign's budget.
+    pub fn advance_to(&mut self, hours: f64) {
+        while self.executor.now_hours() < self.start_hours + hours {
             self.step();
-            while self.executor.now_hours() >= next_snap {
-                let h = next_snap - start_hours;
-                self.executor.coverage_mut().snapshot(h);
-                next_snap += self.config.snapshot_hours;
-                if next_snap > end_hours + self.config.snapshot_hours {
+            let now = self.executor.now_hours();
+            let coverage = self.executor.coverage_mut();
+            loop {
+                let at = (coverage.history().len() + 1) as f64 * self.config.snapshot_hours;
+                if at > self.config.budget_hours || now < self.start_hours + at {
                     break;
                 }
+                coverage.snapshot(at);
             }
         }
-        // Final snapshot at the budget boundary.
-        self.executor
-            .coverage_mut()
-            .snapshot(self.config.budget_hours);
+    }
+
+    /// Fuzz to the budget and close the coverage curve with a point at
+    /// the budget, unless the budget is an interval boundary whose
+    /// point is already taken. Returns the curve.
+    pub fn run_to_budget(&mut self) -> Vec<Snapshot> {
+        let budget = self.config.budget_hours;
+        self.advance_to(budget);
+        if self.executor.coverage().history().last().map(|s| s.hours) != Some(budget) {
+            self.executor.coverage_mut().snapshot(budget);
+        }
         self.executor.coverage().history().to_vec()
     }
 }

@@ -71,11 +71,7 @@ pub mod report;
 pub mod supervisor;
 
 pub use artifacts::{cache_stats, cached_image, cached_spec, reset_cache_stats, CacheStats};
-pub use campaign::{
-    boot_executor, build_fuzzer, run_campaign, run_campaign_recorded,
-    run_campaign_recorded_with_faults, run_campaign_with_coverage, run_campaign_with_faults,
-    CampaignResult,
-};
+pub use campaign::{boot_executor, build_fuzzer, run_campaign, Campaign, CampaignResult};
 pub use chaos::{chaos_plan, run_chaos, ChaosConfig, ChaosReport};
 pub use cmplog::{CmpJournal, MutOp, OpScheduler};
 pub use config::{DetectionConfig, FuzzerConfig, GenerationMode, HangDetector, RecoveryConfig};
@@ -95,7 +91,7 @@ pub use persist::{
     PersistedSeed, SkipStats, StoreError, StoreManifest, SCHEMA_VERSION,
 };
 pub use replay::{
-    finalize_store, replay_loaded, replay_store, resume_campaign, resume_campaign_with,
-    FinalizeAudit, ReplayCase, ReplayReport, ResumeOutcome,
+    finalize_store, replay_loaded, replay_store, resume_campaign, FinalizeAudit, ReplayCase,
+    ReplayReport, ResumeOutcome,
 };
 pub use supervisor::{RecoveryOutcome, RecoveryReason, RecoverySupervisor, ResilienceStats, Rung};

@@ -15,14 +15,15 @@
 //!   pool in admission order (same per-seed coverage contribution and
 //!   final branch count, or fail), emitting `replay.case` spans and a
 //!   machine-readable verdict;
-//! * [`resume_campaign_with`] — replay-based resume: because campaigns
-//!   are bit-deterministic in (config, seed) and simulated time is
-//!   free, resuming re-derives the interrupted prefix by re-running at
-//!   the full budget, then *verifies* the persisted store is an exact
-//!   prefix of the re-derived history — making a resumed campaign
-//!   summary-identical to an uninterrupted one by construction.
+//! * [`resume_campaign`] — replay-based resume: because campaigns are
+//!   bit-deterministic in (config, seed) and simulated time is free,
+//!   [`Campaign::resume`] re-derives the interrupted prefix up to the
+//!   checkpoint and *verifies* there that the persisted store is an
+//!   exact prefix of the re-derived history, then the campaign fuzzes
+//!   on — making a resumed campaign summary-identical to an
+//!   uninterrupted one by construction.
 
-use crate::campaign::{boot_executor, run_campaign_with_coverage, CampaignResult};
+use crate::campaign::{boot_executor, Campaign, CampaignResult};
 use crate::config::FuzzerConfig;
 use crate::corpus::{Corpus, Seed};
 use crate::crash::{dedup_key, CrashDb, CrashReport};
@@ -407,14 +408,9 @@ pub fn replay_loaded(loaded: &LoadedStore, config: &FuzzerConfig) -> ReplayRepor
     report
 }
 
-/// What a resume produced.
+/// What [`Campaign::resume`] found and verified at the checkpoint.
 #[derive(Debug)]
 pub struct ResumeOutcome {
-    /// The full-budget campaign result (summary-identical to an
-    /// uninterrupted run by the determinism contract).
-    pub result: CampaignResult,
-    /// The full-budget coverage map.
-    pub coverage: CoverageMap,
     /// The interrupted store's manifest (pre-resume).
     pub prior: StoreManifest,
     /// Persisted seeds verified present in the re-derived history.
@@ -428,85 +424,19 @@ pub struct ResumeOutcome {
     pub skips: persist::SkipStats,
 }
 
-/// Resume a persisted campaign: re-run `config` (whose budget is the
-/// *total* target, not the remainder) with persistence re-attached to
-/// `dir`, then verify the interrupted store is an exact prefix of the
-/// re-derived history. Simulated time makes the re-derivation free;
-/// the verification is what makes resume trustworthy — any divergence
-/// is a broken determinism contract and errors out loudly.
-pub fn resume_campaign_with(
-    mut config: FuzzerConfig,
-    dir: &Path,
-) -> Result<ResumeOutcome, StoreError> {
-    let loaded = persist::open(dir)?;
-    if config.os != loaded.manifest.os || config.seed != loaded.manifest.seed {
-        return Err(StoreError::ConfigMismatch(format!(
-            "store holds {} seed {}, resume config is {} seed {}",
-            loaded.manifest.os.display(),
-            loaded.manifest.seed,
-            config.os.display(),
-            config.seed
-        )));
-    }
-    if config_fingerprint(&config) != loaded.manifest.fingerprint {
-        return Err(StoreError::ConfigMismatch(
-            "resume config fingerprint differs from the store's".to_string(),
-        ));
-    }
-    if config.budget_hours < loaded.manifest.consumed_hours {
-        return Err(StoreError::ConfigMismatch(format!(
-            "resume budget {}h is shorter than the {}h already consumed",
-            config.budget_hours, loaded.manifest.consumed_hours
-        )));
-    }
-    config.persist = Some(dir.to_path_buf());
-    let (result, coverage) = run_campaign_with_coverage(config);
-
-    // Prefix verification: everything the interrupted run persisted
-    // must have been re-derived by the longer run.
-    let admitted: BTreeSet<u64> = result.corpus_hashes.iter().copied().collect();
-    for seed in &loaded.seeds {
-        if !admitted.contains(&seed.hash) {
-            return Err(StoreError::Diverged(format!(
-                "persisted seed {:016x} (ordinal {}) was not re-admitted",
-                seed.hash, seed.ordinal
-            )));
-        }
-    }
-    let keys: BTreeSet<String> = result.crashes.iter().map(dedup_key).collect();
-    for crash in &loaded.crashes {
-        if !keys.contains(&crash.key) {
-            return Err(StoreError::Diverged(format!(
-                "persisted crash class {:016x} ({}) was not re-found",
-                crash.key_hash, crash.message
-            )));
-        }
-    }
-    for &edge in &loaded.coverage_edges {
-        if !coverage.contains(edge) {
-            return Err(StoreError::Diverged(format!(
-                "persisted coverage edge {edge:#x} was not re-covered"
-            )));
-        }
-    }
-    Ok(ResumeOutcome {
-        verified_seeds: loaded.seeds.len(),
-        verified_crashes: loaded.crashes.len(),
-        verified_edges: loaded.coverage_edges.len(),
-        skips: loaded.skips,
-        prior: loaded.manifest,
-        result,
-        coverage,
-    })
-}
-
 /// Resume a store produced by a default configuration, fuzzing on to
-/// `total_hours` of simulated budget.
-pub fn resume_campaign(dir: &Path, total_hours: f64) -> Result<ResumeOutcome, StoreError> {
+/// `total_hours` of simulated budget. Returns the full-budget result
+/// (summary-identical to an uninterrupted run by the determinism
+/// contract) and what was verified at the checkpoint.
+pub fn resume_campaign(
+    dir: &Path,
+    total_hours: f64,
+) -> Result<(CampaignResult, ResumeOutcome), StoreError> {
     let loaded = persist::open(dir)?;
     let mut config = config_for_manifest(&loaded.manifest)?;
     config.budget_hours = total_hours;
-    resume_campaign_with(config, dir)
+    let (campaign, outcome) = Campaign::resume(config, dir)?;
+    Ok((campaign.finish(), outcome))
 }
 
 #[cfg(test)]
@@ -654,10 +584,10 @@ mod tests {
         half.persist = Some(dir.clone());
         run_campaign(half);
         // Resume to the full budget and verify the prefix property.
-        let resumed = resume_campaign_with(short(os, seed, 0.08), &dir).unwrap();
-        assert!(resumed.verified_seeds > 0);
-        assert!(resumed.verified_edges > 0);
-        assert_eq!(summary(&full), summary(&resumed.result));
+        let (campaign, verified) = Campaign::resume(short(os, seed, 0.08), &dir).unwrap();
+        assert!(verified.verified_seeds > 0);
+        assert!(verified.verified_edges > 0);
+        assert_eq!(summary(&full), summary(&campaign.finish()));
         // The store now describes the full-budget run.
         let reloaded = persist::open(&dir).unwrap();
         assert_eq!(reloaded.manifest.consumed_hours, 0.08);
@@ -691,9 +621,10 @@ mod tests {
                         let copy =
                             tmpdir(&format!("fleetresume-copy-{jobs}-{}-{seed}", os.short()));
                         copy_dir(&dir, &copy);
-                        let out = resume_campaign_with(short(os, seed, 0.06), &copy).unwrap();
+                        let (campaign, _) = Campaign::resume(short(os, seed, 0.06), &copy).unwrap();
+                        let result = campaign.finish();
                         let _ = std::fs::remove_dir_all(&copy);
-                        summary(&out.result)
+                        summary(&result)
                     },
                 )
                 .into_iter()
@@ -727,15 +658,19 @@ mod tests {
         let mut c = short(OsKind::FreeRtos, 7, 0.03);
         c.persist = Some(dir.clone());
         run_campaign(c);
+        let refusal = |config: FuzzerConfig, dir: &Path| {
+            Campaign::resume(config, dir)
+                .err()
+                .expect("resume refuses the store")
+        };
         // Wrong seed.
-        let err = resume_campaign_with(short(OsKind::FreeRtos, 8, 0.06), &dir).unwrap_err();
+        let err = refusal(short(OsKind::FreeRtos, 8, 0.06), &dir);
         assert!(matches!(err, StoreError::ConfigMismatch(_)), "{err}");
         // Budget shorter than what was already consumed.
-        let err = resume_campaign_with(short(OsKind::FreeRtos, 7, 0.01), &dir).unwrap_err();
+        let err = refusal(short(OsKind::FreeRtos, 7, 0.01), &dir);
         assert!(matches!(err, StoreError::ConfigMismatch(_)), "{err}");
         // Missing store.
-        let err = resume_campaign_with(short(OsKind::FreeRtos, 7, 0.06), &dir.join("nonexistent"))
-            .unwrap_err();
+        let err = refusal(short(OsKind::FreeRtos, 7, 0.06), &dir.join("nonexistent"));
         assert!(matches!(err, StoreError::MissingManifest(_)), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -357,7 +357,7 @@ impl StateRestoration {
     /// restore did not stick — e.g. the checksum engine itself answers
     /// garbage.
     ///
-    /// The stream is programmed in [`FULL_REFLASH_BLOCK_SECTORS`]
+    /// The stream is programmed in `FULL_REFLASH_BLOCK_SECTORS`
     /// blocks, each its own transaction, and the FIRST faulted block
     /// fails the whole rung. A monolithic multi-megabyte transfer spans
     /// hundreds of simulated seconds — at chaos fault density it almost

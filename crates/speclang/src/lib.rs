@@ -13,9 +13,9 @@
 //! * [`lexer`] / [`parser`] — Syzlang-flavoured concrete syntax → AST;
 //! * [`ast`] — specification files: resources, flag sets, API signatures
 //!   with typed, constrained parameters;
-//! * [`typecheck`] — the post-validation gate that admits only well-formed
-//!   specifications to the corpus (the paper validates LLM output the same
-//!   way);
+//! * [`typecheck`](mod@typecheck) — the post-validation gate that admits
+//!   only well-formed specifications to the corpus (the paper validates
+//!   LLM output the same way);
 //! * [`prog`] — concrete test cases: call sequences with argument values
 //!   and resource references;
 //! * [`wire`] — the compact binary encoding the host sends to the

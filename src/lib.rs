@@ -62,10 +62,12 @@ pub mod prelude {
         FabricChaosPlan, FabricConfig, FabricFault, FabricReport, SerialMerge,
     };
     pub use eof_core::{
-        replay_store, resume_campaign, resume_campaign_with, CampaignStore, Exchange,
-        ExchangeImport, LoadedStore, ReplayReport, StoreError,
+        replay_store, resume_campaign, CampaignStore, Exchange, ExchangeImport, LoadedStore,
+        ReplayReport, StoreError,
     };
-    pub use eof_core::{run_campaign, CampaignResult, Executor, Fuzzer, FuzzerConfig, Generator};
+    pub use eof_core::{
+        run_campaign, Campaign, CampaignResult, Executor, Fuzzer, FuzzerConfig, Generator,
+    };
     pub use eof_coverage::InstrumentMode;
     pub use eof_dap::{DebugTransport, LinkConfig, RspServer, Txn, TxnOp, TxnResult};
     pub use eof_hal::{BoardCatalog, BoardSpec, Machine};

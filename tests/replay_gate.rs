@@ -181,13 +181,13 @@ fn corpus_resumes_to_a_longer_budget() {
     // coverage must all verify as a prefix of the longer run.
     let store = scratch_copy(&corpus_stores()[0], "resume");
     let prior = persist::open(&store).unwrap().manifest;
-    let outcome = resume_campaign(&store, prior.consumed_hours * 1.5)
+    let (result, outcome) = resume_campaign(&store, prior.consumed_hours * 1.5)
         .unwrap_or_else(|e| panic!("resume failed: {e}"));
     assert!(outcome.verified_seeds > 0);
     assert!(outcome.verified_edges > 0);
-    assert!(outcome.result.branches >= prior.branches);
-    assert!(outcome.result.stats.execs > prior.execs);
+    assert!(result.branches >= prior.branches);
+    assert!(result.stats.execs > prior.execs);
     let reloaded = persist::open(&store).unwrap();
-    assert_eq!(reloaded.manifest.branches, outcome.result.branches);
+    assert_eq!(reloaded.manifest.branches, result.branches);
     let _ = std::fs::remove_dir_all(&store);
 }
